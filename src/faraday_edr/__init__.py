@@ -11,7 +11,6 @@ Heisenberg-Arthurs-Kelly, Ozawa and (tight) Branciard-Ozawa relations.
 from .edr import (
     EDRPoint,
     disturbance_operator,
-    edr_point,
     edr_point_at,
     noise_operator,
     square_disturbance_analytic,
@@ -34,9 +33,7 @@ from .errors import (
 )
 from .faraday import (
     JointContext,
-    MeasurementConfig,
     MeterWorkspace,
-    build_joint_context,
     build_workspace,
     calibrated_meter,
     context_at,

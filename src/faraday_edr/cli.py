@@ -3,12 +3,14 @@
 Output is deterministic CSV (UTF-8, LF, comma-separated, 12 significant
 digits, '.' decimal separator); tradeoff runs additionally emit a plain
 Python plot script that reads only the CSV.  Exit codes: 0 success,
-1 usage error, 2 resource/cutoff error, 3 verification failure.
+1 usage error, 2 resource/cutoff error, 3 verification failure or a
+failed numerical check (a NaN or infinity bound for a CSV cell that is
+not flagged SINGULAR).
 
 Configuration precedence: command-line flags > key-value config file
-(flat ``key = value`` lines, '#' comments) > built-in defaults.  The
-environment variable FARADAY_EDR_MAX_WORKERS caps sweep parallelism
-(absent: number of logical processors).
+(flat ``key = value`` lines, '#' comments) > built-in defaults.  Every
+sweep goes through ``relations.tradeoff_curve`` and runs serially, so
+rows come out in grid order.
 """
 
 from __future__ import annotations
@@ -16,25 +18,29 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .edr import EDRPoint, edr_point_at
 from .errors import (
     CutoffCeilingError,
     FaradayEdrError,
+    NonFiniteValueError,
     NormDeficitError,
     UsageError,
 )
 from .faraday import build_workspace
 from .meter import SqueezeSpec, predicted_moments, stokes_moments
-from .psa import PsaConfig, eps2_from_oracle, eta2_from_oracle, eps2_psa, eta2_psa, \
-    eps2_wia, eta2_wia, wia_hak_product
-from .relations import bot_frontier, evaluate_bounds, hak_frontier
+from .psa import PsaConfig, eps2_from_oracle, eta2_from_oracle
+from .relations import (
+    CHI_MODELS,
+    EXACT_MODELS,
+    TradeoffSample,
+    bot_frontier,
+    hak_frontier,
+    tradeoff_curve,
+)
 from .tolerances import TOL
 from .verify import run_all_suites
 
@@ -50,9 +56,6 @@ for _op in ("s0", "sx", "sy", "sz"):
                        f"var_{_op}", f"pred_var_{_op}", f"relgap_var_{_op}"]
 
 SINGULAR = "SINGULAR"
-
-EXACT_MODELS = ("exact-coherent", "exact-squeezed")
-CHI_MODELS = ("psa", "wia")
 
 
 # ---------------------------------------------------------------------------
@@ -125,25 +128,8 @@ class _Settings:
 
 
 def _max_workers() -> int:
-    raw = os.environ.get("FARADAY_EDR_MAX_WORKERS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"FARADAY_EDR_MAX_WORKERS={raw!r} is not an integer")
-    if n < 1:
-        raise UsageError("FARADAY_EDR_MAX_WORKERS must be >= 1")
-    return n
-
-
-def _parallel_map(fn, items: list):
-    """Order-preserving concurrent map; row order stays grid order."""
-    workers = min(_max_workers(), max(len(items), 1))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    # sweeps are serial; bench/probe.py still reads this as its worker count
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,76 +141,64 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, float) and math.isnan(value):
-        return SINGULAR
-    return format(float(value), ".12g")
+    x = float(value)
+    if not math.isfinite(x):
+        raise NonFiniteValueError(
+            f"{x!r} reached a CSV cell outside a SINGULAR-flagged sample"
+        )
+    return format(x, ".12g")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    cells = [[_fmt(v) for v in row] for row in rows]  # fail before the file is opened
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(cells)
 
 
-def _grid(start: float, stop: float, steps: int) -> np.ndarray:
-    if steps < 2:
-        raise UsageError("steps must be >= 2")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError("sweep range must be finite")
-    return np.linspace(start, stop, steps)
-
-
-def _exact_row(model: str, pt: EDRPoint) -> list:
-    chi = pt.g * math.sqrt(pt.alpha2) * math.exp(pt.r)
-    if pt.singular:
-        bounds_cells = [SINGULAR] * 4
-        eps_cells = [SINGULAR, SINGULAR]
+def _row(model: str, s: TradeoffSample) -> list:
+    """One CSV row; the SINGULAR cells come from the sample's flag alone."""
+    if s.singular:
+        bounds = [SINGULAR] * 4
     else:
-        b = evaluate_bounds(pt.eps2, pt.eta2, pt.sigma_a, pt.sigma_b, pt.c_ab)
-        bounds_cells = [b.hak, b.ozawa_lhs, b.bo_lhs, b.bot_lhs]
-        eps_cells = [pt.eps2, pt.eps2_analytic]
-    return [model, pt.g, chi, pt.alpha2, pt.r,
-            *eps_cells, pt.eta2, pt.eta2_analytic,
-            *bounds_cells, ";".join(pt.flags)]
-
-
-def _chi_row(model: str, chi: float) -> list:
-    if chi == 0.0:
-        # zero measurement strength: the error diverges, the disturbance is 0
-        eta2 = 0.0
-        return [model, None, chi, None, None,
-                None, SINGULAR, None, eta2,
-                SINGULAR, SINGULAR, SINGULAR, SINGULAR, SINGULAR]
-    if model == "psa":
-        eps2_a, eta2_a = eps2_psa(chi), eta2_psa(chi)
-        cfg = PsaConfig(g=chi, alpha_mag=1.0, sigma=1.0)  # chi fixes the physics
+        bounds = [s.bounds.hak, s.bounds.ozawa_lhs, s.bounds.bo_lhs, s.bounds.bot_lhs]
+    flags = ";".join(s.flags)
+    pt = s.point
+    if pt is not None:
+        eps = [SINGULAR, SINGULAR] if s.singular else [pt.eps2, pt.eps2_analytic]
+        chi = pt.g * math.sqrt(pt.alpha2) * math.exp(pt.r)
+        return [model, pt.g, chi, pt.alpha2, pt.r,
+                *eps, pt.eta2, pt.eta2_analytic, *bounds, flags]
+    eps2_n = eta2_n = None  # wia rows and chi = 0 rows are purely analytic
+    if model == "psa" and not s.singular:
+        cfg = PsaConfig(g=s.param, alpha_mag=1.0, sigma=1.0)  # chi fixes the physics
         eps2_n, eta2_n = eps2_from_oracle(cfg), eta2_from_oracle(cfg)
-        bounds = evaluate_bounds(eps2_a, eta2_a)
-    else:
-        eps2_a, eta2_a = eps2_wia(chi), eta2_wia(chi)
-        eps2_n = eta2_n = None  # the WIA model is purely analytic
-        bounds = evaluate_bounds(eps2_a, eta2_a, hak_value=wia_hak_product())
-    return [model, None, chi, None, None,
-            eps2_n, eps2_a, eta2_n, eta2_a,
-            bounds.hak, bounds.ozawa_lhs, bounds.bo_lhs, bounds.bot_lhs, ""]
+    eps2 = SINGULAR if s.singular else s.eps2
+    return [model, None, s.param, None, None,
+            eps2_n, eps2, eta2_n, s.eta2, *bounds, flags]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _resolve_exact_request(settings: _Settings, allowed_models) -> dict:
-    model = settings.get("model", str, default=allowed_models[0])
-    if model not in allowed_models:
-        raise UsageError(f"model {model!r} is not valid here; choose from {allowed_models}")
-    alpha2 = settings.get("alpha2", _parse_float, default=6.0)
-    r = settings.get("r", _parse_float, default=0.0)
-    if model == "exact-coherent" and r != 0.0:
-        raise UsageError("model exact-coherent requires r = 0 (use exact-squeezed)")
+def _check_meter(model: str | None, alpha2: float, r: float) -> None:
+    if not (math.isfinite(alpha2) and math.isfinite(r)):
+        raise UsageError(f"alpha2 and r must be finite, got alpha2={alpha2!r}, r={r!r}")
     if alpha2 < 0:
         raise UsageError("alpha2 must be non-negative")
+    if model == "exact-coherent" and r != 0.0:
+        raise UsageError("model exact-coherent requires r = 0 (use exact-squeezed)")
+
+
+def _resolve_exact_request(settings: _Settings) -> dict:
+    model = settings.get("model", str, default=EXACT_MODELS[0])
+    if model not in EXACT_MODELS:
+        raise UsageError(f"model {model!r} is not valid here; choose from {EXACT_MODELS}")
+    alpha2 = settings.get("alpha2", _parse_float, default=6.0)
+    r = settings.get("r", _parse_float, default=0.0)
+    _check_meter(model, alpha2, r)
     return {
         "model": model,
         "alpha2": alpha2,
@@ -234,32 +208,23 @@ def _resolve_exact_request(settings: _Settings, allowed_models) -> dict:
     }
 
 
-def _build_exact_points(req: dict, g_values: np.ndarray) -> list[EDRPoint]:
-    squeeze = SqueezeSpec(req["r"]) if req["r"] != 0.0 else None
-    ws = build_workspace(math.sqrt(req["alpha2"]), squeeze, req["cutoff"], req["tail_tol"])
-    return _parallel_map(
-        lambda g: edr_point_at(ws, float(g), req["alpha2"], req["r"]), list(g_values)
-    )
+def _sweep_rows(settings: _Settings, request: dict, start: float, stop: float,
+                steps: int) -> list[list]:
+    """CSV rows of ``tradeoff_curve(**request)``; start, stop and steps are
+    the grid defaults that the settings may override."""
+    start = settings.get("start", parse_angle, default=start)
+    stop = settings.get("stop", parse_angle, default=stop)
+    steps = settings.get("steps", _parse_int, default=steps)
+    samples = tradeoff_curve(start=start, stop=stop, steps=steps, **request)
+    return [_row(request["model"], s) for s in samples]
 
 
 def cmd_sweep_g(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    req = _resolve_exact_request(settings, EXACT_MODELS)
-    start = settings.get("start", parse_angle, default=0.02)
-    stop = settings.get("stop", parse_angle, default=math.pi)
-    steps = settings.get("steps", _parse_int, default=120)
+    request = _resolve_exact_request(settings)
     output = settings.get("output", str, required=True)
-    points = _build_exact_points(req, _grid(start, stop, steps))
-    rows = [_exact_row(req["model"], pt) for pt in points]
-    _write_csv(output, CSV_HEADER, rows)
+    _write_csv(output, CSV_HEADER, _sweep_rows(settings, request, 0.02, math.pi, 120))
     return 0
-
-
-def _chi_grid(start: float, stop: float, steps: int) -> np.ndarray:
-    grid = _grid(start, stop, steps)
-    if grid.min() < 0:
-        raise UsageError("the measurement strength chi cannot be negative")
-    return grid
 
 
 def cmd_sweep_chi(args: argparse.Namespace) -> int:
@@ -267,13 +232,8 @@ def cmd_sweep_chi(args: argparse.Namespace) -> int:
     model = settings.get("model", str, default="psa")
     if model not in CHI_MODELS:
         raise UsageError(f"model {model!r} is not valid for sweep-chi; choose from {CHI_MODELS}")
-    start = settings.get("start", parse_angle, default=0.05)
-    stop = settings.get("stop", parse_angle, default=2.0)
-    steps = settings.get("steps", _parse_int, default=100)
     output = settings.get("output", str, required=True)
-    rows = _parallel_map(lambda chi: _chi_row(model, float(chi)),
-                         list(_chi_grid(start, stop, steps)))
-    _write_csv(output, CSV_HEADER, rows)
+    _write_csv(output, CSV_HEADER, _sweep_rows(settings, {"model": model}, 0.05, 2.0, 100))
     return 0
 
 
@@ -316,19 +276,11 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     model = settings.get("model", str, default="exact-coherent")
     output = settings.get("output", str, required=True)
-    steps = settings.get("steps", _parse_int, default=120)
     if model in EXACT_MODELS:
-        req = _resolve_exact_request(settings, EXACT_MODELS)
-        req["model"] = model
-        start = settings.get("start", parse_angle, default=0.02)
-        stop = settings.get("stop", parse_angle, default=math.pi / 2)
-        points = _build_exact_points(req, _grid(start, stop, steps))
-        rows = [_exact_row(model, pt) for pt in points]
+        request = _resolve_exact_request(settings)
+        rows = _sweep_rows(settings, request, 0.02, math.pi / 2, 120)
     elif model in CHI_MODELS:
-        start = settings.get("start", parse_angle, default=0.05)
-        stop = settings.get("stop", parse_angle, default=2.5)
-        rows = _parallel_map(lambda chi: _chi_row(model, float(chi)),
-                             list(_chi_grid(start, stop, steps)))
+        rows = _sweep_rows(settings, {"model": model}, 0.05, 2.5, 120)
     else:
         raise UsageError(f"unknown model {model!r}")
 
@@ -392,8 +344,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     output = settings.get("output", str, required=True)
     rows = []
     for alpha2, r in _moment_points(settings):
-        if model == "exact-coherent" and r != 0.0:
-            raise UsageError("model exact-coherent requires r = 0")
+        _check_meter(model, alpha2, r)
         squeeze = SqueezeSpec(r) if r != 0.0 else None
         ws = build_workspace(math.sqrt(alpha2), squeeze, cutoff, tail_tol)
         mom = stokes_moments(ws.meter_state, ws.stokes)
@@ -500,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CutoffCeilingError, NormDeficitError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteValueError as exc:
+        print(f"numerical check failed: {exc}", file=sys.stderr)
+        return 3
     except FaradayEdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

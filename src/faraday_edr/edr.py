@@ -30,9 +30,7 @@ import numpy as np
 from .errors import CalibrationSingular
 from .faraday import (
     JointContext,
-    MeasurementConfig,
     MeterWorkspace,
-    build_workspace,
     calibration_scale,
     context_at,
     heisenberg_bx,
@@ -288,9 +286,3 @@ def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -
         sigma_a=sigma_a, sigma_b=sigma_b, c_ab=c_ab,
         norm_deficit=deficit, flags=flags,
     )
-
-
-def edr_point(cfg: MeasurementConfig) -> EDRPoint:
-    """One-shot sample; sweeps share a workspace via edr_point_at instead."""
-    ws = build_workspace(cfg.alpha, cfg.squeeze, cfg.cutoff, cfg.tail_tol)
-    return edr_point_at(ws, cfg.g, cfg.alpha2, cfg.r)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: usage problems exit 1,
-resource/truncation problems exit 2, verification failures exit 3.
+resource/truncation problems exit 2, verification failures and failed
+numerical checks exit 3.
 """
 
 from __future__ import annotations
@@ -47,5 +48,17 @@ class QuadratureError(FaradayEdrError):
     """Gaussian quadrature failed to converge within the node budget."""
 
 
-class UsageError(FaradayEdrError):
-    """Bad command line, config file, or argument combination."""
+class UsageError(FaradayEdrError, ValueError):
+    """Bad command line, config file, or argument combination.
+
+    Also a ValueError, so library callers handle a rejected argument the
+    usual way.
+    """
+
+
+class NonFiniteValueError(FaradayEdrError):
+    """A value bound for the output is NaN or infinite.
+
+    Expected divergences are flagged SINGULAR before formatting; anything
+    else non-finite is a numerical failure and must not reach the CSV.
+    """

@@ -37,54 +37,11 @@ from .tolerances import TOL
 
 
 @dataclass(frozen=True)
-class MeasurementConfig:
-    """One measurement setup: interaction strength, meter preparation, cutoff.
-
-    The measured observable is fixed to sigma_z and the disturbed one to
-    sigma_x (both square to the identity).  ``cutoff=None`` resolves to
-    the smallest adequate truncation for the requested tail budget.
-    """
-
-    g: float
-    alpha: complex
-    squeeze: SqueezeSpec | None = None
-    cutoff: int | None = None
-    tail_tol: float = TOL.tail
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.g):
-            raise ValueError("interaction strength g must be finite")
-        if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
-            raise ValueError("coherent amplitude alpha must be finite")
-
-    @property
-    def alpha2(self) -> float:
-        return abs(self.alpha) ** 2
-
-    @property
-    def r(self) -> float:
-        return self.squeeze.r if self.squeeze is not None else 0.0
-
-    @property
-    def spin_measured(self) -> Operator:
-        return sigma_z()
-
-    @property
-    def spin_disturbed(self) -> Operator:
-        return sigma_x()
-
-    def resolve_cutoff(self) -> int:
-        if self.cutoff is not None:
-            return self.cutoff
-        return choose_cutoff(self.alpha2, self.r, self.tail_tol)
-
-
-@dataclass(frozen=True)
 class MeterWorkspace:
     """The g-independent part of a measurement: basis, operators, meter state.
 
-    Shared read-only between all interaction strengths of a sweep (and
-    between threads).  The tilde attributes are the Sz eigenbasis
+    Shared read-only between all interaction strengths of a sweep.  The
+    tilde attributes are the Sz eigenbasis
     representations used by the fast vector evaluators in edr.
     """
 
@@ -176,11 +133,6 @@ class JointContext:
         if defect > TOL.unitarity:
             raise NonUnitaryError(f"joint unitary deviates from unitarity by {defect:.3e}")
         return op
-
-
-def build_joint_context(cfg: MeasurementConfig) -> JointContext:
-    ws = build_workspace(cfg.alpha, cfg.squeeze, cfg.cutoff, cfg.tail_tol)
-    return JointContext(workspace=ws, g=cfg.g)
 
 
 def context_at(workspace: MeterWorkspace, g: float) -> JointContext:

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edr import EDRPoint, edr_point_at
+from .errors import UsageError
 from .faraday import build_workspace
 from .meter import SqueezeSpec
 from .psa import eps2_psa, eta2_psa, eps2_wia, eta2_wia, wia_hak_product
 from .tolerances import TOL
 
-TRADEOFF_MODELS = ("exact-coherent", "exact-squeezed", "psa", "wia")
+EXACT_MODELS = ("exact-coherent", "exact-squeezed")
+CHI_MODELS = ("psa", "wia")
+TRADEOFF_MODELS = EXACT_MODELS + CHI_MODELS
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,11 @@ def bot_frontier(eps2: float) -> float:
 
 @dataclass(frozen=True)
 class TradeoffSample:
-    """One point of a tradeoff curve: parameter, squares, bound values."""
+    """One point of a tradeoff curve: parameter, squares, bound values.
+
+    Singular samples (sin 2g ~ 0 for the exact models, chi = 0 otherwise)
+    carry NaN eps2, no bounds record and the flag "SINGULAR".
+    """
 
     param: float  # g for the exact models, chi for psa/wia
     eps2: float
@@ -117,13 +124,40 @@ class TradeoffSample:
     flags: tuple[str, ...] = ()
     point: EDRPoint | None = None
 
+    @property
+    def singular(self) -> bool:
+        return "SINGULAR" in self.flags
 
-def _grid(start: float, stop: float, steps: int) -> np.ndarray:
+
+def _grid(model: str, start: float, stop: float, steps: int) -> np.ndarray:
     if steps < 2:
-        raise ValueError("steps must be >= 2")
+        raise UsageError("steps must be >= 2")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError("sweep range must be finite")
-    return np.linspace(start, stop, steps)
+        raise UsageError("sweep range must be finite")
+    grid = np.linspace(start, stop, steps)
+    if model in CHI_MODELS and grid.min() < 0:
+        raise UsageError("the measurement strength chi cannot be negative")
+    return grid
+
+
+def _exact_sample(pt: EDRPoint) -> TradeoffSample:
+    # a singular point already carries NaN eps2
+    bounds = None if pt.singular else evaluate_bounds(
+        pt.eps2, pt.eta2, pt.sigma_a, pt.sigma_b, pt.c_ab)
+    return TradeoffSample(pt.g, pt.eps2, pt.eta2, bounds, pt.flags, pt)
+
+
+def _chi_sample(model: str, chi: float) -> TradeoffSample:
+    if chi == 0.0:
+        # zero measurement strength: the error diverges, the disturbance is 0
+        return TradeoffSample(chi, math.nan, 0.0, None, ("SINGULAR",))
+    if model == "psa":
+        eps2, eta2 = eps2_psa(chi), eta2_psa(chi)
+        bounds = evaluate_bounds(eps2, eta2)
+    else:
+        eps2, eta2 = eps2_wia(chi), eta2_wia(chi)
+        bounds = evaluate_bounds(eps2, eta2, hak_value=wia_hak_product())
+    return TradeoffSample(chi, eps2, eta2, bounds)
 
 
 def tradeoff_curve(model: str, start: float, stop: float, steps: int,
@@ -132,34 +166,16 @@ def tradeoff_curve(model: str, start: float, stop: float, steps: int,
                    ) -> list[TradeoffSample]:
     """Parametric (eps2, eta2) sweep: over g for the exact models, chi otherwise.
 
-    Calibration-singular exact samples propagate as flagged entries with
-    NaN squares and no bounds record rather than aborting the sweep.
+    Samples come serially in grid order.  Singular samples propagate as
+    flagged entries rather than aborting the sweep.  Bad arguments (unknown
+    model, steps < 2, a non-finite range, negative chi) raise UsageError.
     """
     if model not in TRADEOFF_MODELS:
-        raise ValueError(f"unknown model {model!r}; choose from {TRADEOFF_MODELS}")
-    samples: list[TradeoffSample] = []
-    if model in ("exact-coherent", "exact-squeezed"):
-        squeeze = SqueezeSpec(r) if model == "exact-squeezed" and r != 0.0 else None
-        ws = build_workspace(math.sqrt(alpha2), squeeze, cutoff, tail_tol)
-        r_eff = squeeze.r if squeeze is not None else 0.0
-        for g in _grid(start, stop, steps):
-            pt = edr_point_at(ws, float(g), alpha2, r_eff)
-            if pt.singular:
-                samples.append(TradeoffSample(float(g), math.nan, pt.eta2, None,
-                                              pt.flags, pt))
-            else:
-                bounds = evaluate_bounds(pt.eps2, pt.eta2, pt.sigma_a, pt.sigma_b, pt.c_ab)
-                samples.append(TradeoffSample(float(g), pt.eps2, pt.eta2, bounds,
-                                              pt.flags, pt))
-        return samples
-
-    for chi in _grid(start, stop, steps):
-        chi = float(chi)
-        if model == "psa":
-            eps2, eta2 = eps2_psa(chi), eta2_psa(chi)
-            bounds = evaluate_bounds(eps2, eta2)
-        else:
-            eps2, eta2 = eps2_wia(chi), eta2_wia(chi)
-            bounds = evaluate_bounds(eps2, eta2, hak_value=wia_hak_product())
-        samples.append(TradeoffSample(chi, eps2, eta2, bounds))
-    return samples
+        raise UsageError(f"unknown model {model!r}; choose from {TRADEOFF_MODELS}")
+    grid = _grid(model, start, stop, steps)
+    if model in CHI_MODELS:
+        return [_chi_sample(model, float(chi)) for chi in grid]
+    squeeze = SqueezeSpec(r) if model == "exact-squeezed" and r != 0.0 else None
+    ws = build_workspace(math.sqrt(alpha2), squeeze, cutoff, tail_tol)
+    r_eff = squeeze.r if squeeze is not None else 0.0
+    return [_exact_sample(edr_point_at(ws, float(g), alpha2, r_eff)) for g in grid]

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from faraday_edr import cli
 from faraday_edr.cli import CSV_HEADER, MOMENTS_HEADER, main, parse_angle
-from faraday_edr.errors import UsageError
+from faraday_edr.errors import NonFiniteValueError, UsageError
 
 
 def read_rows(path):
@@ -224,6 +225,14 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["sweep-g", "--start", "2pi", "-o", out]) == 1  # bad angle
     assert main(["sweep-g", "--model", "exact-coherent", "--r", "0.3", "-o", out]) == 1
     assert main(["no-such-command"]) == 1
+    # non-finite amplitudes are rejected before any state is prepared
+    assert main(["sweep-g", "--alpha2", "nan", "-o", out]) == 1
+    assert main(["sweep-g", "--alpha2", "inf", "-o", out]) == 1
+    assert main(["sweep-g", "--model", "exact-squeezed", "--r", "nan", "-o", out]) == 1
+    assert main(["tradeoff", "--alpha2", "-inf", "-o", out]) == 1
+    assert main(["moments", "--point", "nan,0", "-o", out]) == 1
+    assert main(["moments", "--alpha2", "6", "--r", "inf", "-o", out]) == 1
+    assert main(["moments", "--point", "-1,0", "-o", out]) == 1
 
 
 def test_exit_code_cutoff_ceiling(tmp_path):
@@ -245,15 +254,19 @@ def test_verify_passes_and_fails(tmp_path, capsys):
     assert "NormDeficitError" in out
 
 
-def test_worker_env_cap(tmp_path, monkeypatch):
-    args = ["sweep-g", "--alpha2", "2", "--steps", "8", "--start", "0.1",
-            "--stop", "1.0"]
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    monkeypatch.setenv("FARADAY_EDR_MAX_WORKERS", "1")
-    assert main(args + ["-o", str(serial)]) == 0
-    monkeypatch.setenv("FARADAY_EDR_MAX_WORKERS", "4")
-    assert main(args + ["-o", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_fmt_refuses_non_finite_values():
+    assert cli._fmt(None) == ""
+    assert cli._fmt("SINGULAR") == "SINGULAR"
+    assert cli._fmt(1.0 / 3.0) == "0.333333333333"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteValueError):
+            cli._fmt(bad)
 
-    monkeypatch.setenv("FARADAY_EDR_MAX_WORKERS", "zero")
-    assert main(args + ["-o", str(tmp_path / "z.csv")]) == 1
+
+def test_exit_code_non_finite_cell(tmp_path, monkeypatch, capsys):
+    # a NaN that no SINGULAR flag accounts for fails the run and writes no file
+    monkeypatch.setattr(cli, "eps2_from_oracle", lambda cfg: math.nan)
+    out = tmp_path / "nan.csv"
+    assert main(["sweep-chi", "--model", "psa", "--steps", "3", "-o", str(out)]) == 3
+    assert "numerical check failed" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,6 @@ from faraday_edr.edr import (
     disturbance_bias_coefficient,
     disturbance_mean,
     disturbance_operator,
-    edr_point,
     edr_point_at,
     noise_mean,
     noise_operator,
@@ -21,7 +20,7 @@ from faraday_edr.edr import (
     square_error_schrodinger,
 )
 from faraday_edr.errors import CalibrationSingular
-from faraday_edr.faraday import MeasurementConfig, context_at
+from faraday_edr.faraday import build_workspace, context_at
 from faraday_edr.linalg import SPIN_STATE_LABELS, expectation, spin_state, tensor
 
 from conftest import acceptance_g_grid
@@ -212,7 +211,7 @@ def test_edr_point_quarter_turn(ws6):
 
 
 def test_edr_point_small_g():
-    pt = edr_point(MeasurementConfig(g=0.05, alpha=math.sqrt(2.0)))
+    pt = edr_point_at(build_workspace(math.sqrt(2.0)), 0.05, 2.0, 0.0)
     assert pt.eps2 == pytest.approx(1.0 / (2.0 * math.sin(0.1) ** 2), rel=1e-9)
     assert pt.eta2 == pytest.approx(2.0 * (1.0 - math.exp(-4.0 * math.sin(0.05) ** 2)),
                                     rel=1e-9)

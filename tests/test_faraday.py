@@ -6,8 +6,6 @@ from scipy.linalg import expm
 
 from faraday_edr.errors import CalibrationSingular, ZeroMeanSx
 from faraday_edr.faraday import (
-    MeasurementConfig,
-    build_joint_context,
     build_workspace,
     calibrated_meter,
     context_at,
@@ -165,19 +163,8 @@ def test_zero_mean_sx_on_vacuum_meter(vacuum_ws):
         calibrated_meter(context_at(vacuum_ws, 0.3))
 
 
-def test_measurement_config():
-    cfg = MeasurementConfig(g=0.4, alpha=math.sqrt(6.0))
-    assert cfg.alpha2 == pytest.approx(6.0)
-    assert cfg.r == 0.0
-    assert np.array_equal(cfg.spin_measured.matrix @ cfg.spin_measured.matrix, np.eye(2))
-    assert np.array_equal(cfg.spin_disturbed.matrix @ cfg.spin_disturbed.matrix, np.eye(2))
-    assert cfg.resolve_cutoff() == 30
-    with pytest.raises(ValueError):
-        MeasurementConfig(g=math.nan, alpha=1.0)
-
-
 def test_build_joint_context_roundtrip():
-    ctx = build_joint_context(MeasurementConfig(g=0.25, alpha=math.sqrt(2.0)))
+    ctx = context_at(build_workspace(math.sqrt(2.0)), 0.25)
     assert ctx.basis_tag == f"joint({ctx.basis.n_max})"
     assert ctx.mean_sx == pytest.approx(2.0, rel=1e-9)
     assert ctx.meter_state.norm_deficit <= 1e-12

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from faraday_edr.errors import UsageError
 from faraday_edr.relations import (
     bot_frontier,
     evaluate_bounds,
@@ -129,8 +130,26 @@ def test_exact_squeezed_curve_runs(ws_squeezed):
         assert s.bounds.bot_lhs >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("model", ["psa", "wia"])
+def test_chi_curve_flags_zero_strength_sample(model):
+    curve = tradeoff_curve(model, 0.0, 0.2, 5)
+    assert [s.param for s in curve] == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
+    first = curve[0]
+    assert first.singular and first.flags == ("SINGULAR",)
+    assert math.isnan(first.eps2)
+    assert first.eta2 == 0.0
+    assert first.bounds is None and first.point is None
+    for s in curve[1:]:  # the rest of the curve is intact
+        assert s.flags == () and s.bounds is not None
+        assert s.eps2 == pytest.approx(1.0 / (4.0 * s.param ** 2), rel=1e-12)
+
+
 def test_tradeoff_rejects_unknown_model():
     with pytest.raises(ValueError):
         tradeoff_curve("exact", 0.1, 1.0, 10)
     with pytest.raises(ValueError):
         tradeoff_curve("psa", 0.1, 1.0, 1)  # steps < 2
+    with pytest.raises(UsageError):
+        tradeoff_curve("wia", -0.5, 1.0, 4)  # negative measurement strength
+    with pytest.raises(UsageError):
+        tradeoff_curve("psa", 0.1, math.inf, 4)
