@@ -5,7 +5,8 @@ digits, '.' decimal separator); tradeoff runs additionally emit a plain
 Python plot script that reads only the CSV.  Exit codes: 0 success,
 1 usage error, 2 resource/cutoff error, 3 verification failure or a
 failed numerical check (a NaN or infinity bound for a CSV cell that is
-not flagged SINGULAR).
+not flagged SINGULAR, or a meter whose Sy leaves the banded form the
+sweep kernel stores).
 
 Configuration precedence: command-line flags > key-value config file
 (flat ``key = value`` lines, '#' comments) > built-in defaults.  Every
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BandStructureError,
     CutoffCeilingError,
     FaradayEdrError,
     NonFiniteValueError,
@@ -192,6 +194,17 @@ def _check_meter(model: str | None, alpha2: float, r: float) -> None:
         raise UsageError("model exact-coherent requires r = 0 (use exact-squeezed)")
 
 
+def _resolve_truncation(settings: _Settings) -> tuple[float, int | None]:
+    """(tail_tol, cutoff) from the settings, checked before any state is built."""
+    tail_tol = settings.get("tail-tol", _parse_float, default=TOL.tail)
+    if not 0.0 < tail_tol <= 1e-6:  # also refuses NaN
+        raise UsageError(f"tail-tol must lie in (0, 1e-6], got {tail_tol!r}")
+    cutoff = settings.get("cutoff", _parse_int, default=None)
+    if cutoff is not None and cutoff < 0:
+        raise UsageError(f"cutoff must be non-negative, got {cutoff}")
+    return tail_tol, cutoff
+
+
 def _resolve_exact_request(settings: _Settings) -> dict:
     model = settings.get("model", str, default=EXACT_MODELS[0])
     if model not in EXACT_MODELS:
@@ -199,13 +212,8 @@ def _resolve_exact_request(settings: _Settings) -> dict:
     alpha2 = settings.get("alpha2", _parse_float, default=6.0)
     r = settings.get("r", _parse_float, default=0.0)
     _check_meter(model, alpha2, r)
-    return {
-        "model": model,
-        "alpha2": alpha2,
-        "r": r,
-        "tail_tol": settings.get("tail-tol", _parse_float, default=TOL.tail),
-        "cutoff": settings.get("cutoff", _parse_int, default=None),
-    }
+    tail_tol, cutoff = _resolve_truncation(settings)
+    return {"model": model, "alpha2": alpha2, "r": r, "tail_tol": tail_tol, "cutoff": cutoff}
 
 
 def _sweep_rows(settings: _Settings, request: dict, start: float, stop: float,
@@ -307,8 +315,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     alpha2 = settings.get("alpha2", _parse_float, default=None)
-    cutoff = settings.get("cutoff", _parse_int, default=None)
-    tail_tol = settings.get("tail-tol", _parse_float, default=TOL.tail)
+    tail_tol, cutoff = _resolve_truncation(settings)
     results = run_all_suites(alpha2=alpha2, cutoff=cutoff, tail_tol=tail_tol)
     for res in results:
         print(res.line())
@@ -339,8 +346,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     model = settings.get("model", str, default=None)
     if model is not None and model not in EXACT_MODELS:
         raise UsageError(f"moments supports only {EXACT_MODELS}, got {model!r}")
-    tail_tol = settings.get("tail-tol", _parse_float, default=TOL.tail)
-    cutoff = settings.get("cutoff", _parse_int, default=None)
+    tail_tol, cutoff = _resolve_truncation(settings)
     output = settings.get("output", str, required=True)
     rows = []
     for alpha2, r in _moment_points(settings):
@@ -451,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CutoffCeilingError, NormDeficitError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteValueError as exc:
+    except (NonFiniteValueError, BandStructureError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
     except FaradayEdrError as exc:

@@ -3,8 +3,9 @@
 The primary numeric path works in the Heisenberg picture, sandwiching the
 evolved operators with the initial product state.  It never materializes a
 joint matrix: states are kept as 2 x m arrays (spin row, meter column) in
-the Sz eigenbasis, where the evolution is a diagonal phase and the only
-matrix-vector product is with the transformed Sy.  A Schroedinger-picture
+the Sz eigenbasis, where the evolution is a diagonal phase and the
+transformed Sy is tridiagonal, applied from its stored band in O(m).  The
+dense operators of the full-matrix route are the oracle.  A Schroedinger-picture
 recomputation (evolving the state instead) is retained as a secondary
 oracle; the two routes must agree to 1e-10.
 
@@ -38,6 +39,7 @@ from .faraday import (
     lift_spin,
 )
 from .linalg import Ket, Operator, sigma_x, sigma_z, spin_state, SPIN_STATE_LABELS
+from .meter import apply_band
 from .tolerances import TOL
 
 #: system preparation used for all sweep points: the sigma_y eigenstate,
@@ -72,7 +74,7 @@ def _joint_tilde(ctx: JointContext, psi: Ket, xi: Ket | None) -> np.ndarray:
     else:
         if xi.basis_tag != ctx.basis.tag:
             raise ValueError("xi must live on the context's meter basis")
-        xt = ctx.workspace.eig.vectors.conj().T @ xi.amplitudes
+        xt = ctx.workspace.eig.to_eigenbasis(xi.amplitudes)
     return np.array([psi.amplitudes[0] * xt, psi.amplitudes[1] * xt])
 
 
@@ -85,9 +87,7 @@ def _evolve(ctx: JointContext, vec2m: np.ndarray, dagger: bool = False) -> np.nd
 
 
 def _apply_noise(ctx: JointContext, psi_t: np.ndarray, scale: float) -> np.ndarray:
-    st = ctx.workspace.sy_tilde
-    t = _evolve(ctx, psi_t)
-    y = np.array([st @ t[0], st @ t[1]])
+    y = apply_band(ctx.workspace.sy_tilde, _evolve(ctx, psi_t))
     m_psi = _evolve(ctx, y, dagger=True) / scale
     a_psi = np.array([psi_t[0], -psi_t[1]])
     return m_psi - a_psi
@@ -140,9 +140,7 @@ def square_error_schrodinger(ctx: JointContext, psi: Ket, xi: Ket | None = None)
     scale = calibration_scale(ctx)
     psi_t = _joint_tilde(ctx, psi, xi)
     n2 = float(np.vdot(psi_t, psi_t).real)
-    st = ctx.workspace.sy_tilde
-    t = _evolve(ctx, psi_t)
-    sy_t = np.array([st @ t[0], st @ t[1]])
+    sy_t = apply_band(ctx.workspace.sy_tilde, _evolve(ctx, psi_t))
     a_psi = np.array([psi_t[0], -psi_t[1]])
     q = _evolve(ctx, a_psi)
     m2 = float(np.vdot(sy_t, sy_t).real) / (scale * scale * n2)
@@ -252,6 +250,23 @@ def _spin_sigmas(psi: Ket) -> tuple[float, float, float]:
     return _std(sigma_z()), _std(sigma_x()), c_ab
 
 
+def _pauli_bias(ctx: JointContext, apply) -> float:
+    """max |<X>| over the six Pauli eigenstates (x) the meter state.
+
+    X is a joint operator given by its action ``apply`` on (2, m) tilde
+    arrays.  <X> is linear in the spin density matrix, so the 2 x 2 reduced
+    matrix <i, xi|X|j, xi> / <xi|xi>, from two applications of X, gives the
+    mean for every spin state.
+    """
+    xt = ctx.workspace.state_tilde
+    zero = np.zeros_like(xt)
+    cols = (apply(np.array([xt, zero])), apply(np.array([zero, xt])))
+    reduced = np.array([[np.vdot(xt, col[i]) for col in cols] for i in range(2)])
+    reduced /= float(np.vdot(xt, xt).real)
+    return max(abs(np.vdot(psi.amplitudes, reduced @ psi.amplitudes))
+               for psi in map(spin_state, SPIN_STATE_LABELS))
+
+
 def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -> EDRPoint:
     """Assemble the full per-sample record at interaction strength g."""
     ctx = context_at(workspace, g)
@@ -264,7 +279,7 @@ def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -
         eta2_analytic = square_disturbance_analytic(g, alpha2)
     else:
         eta2_analytic = square_disturbance_analytic_squeezed(g, alpha2, r)
-    bias_d = max(abs(disturbance_mean(ctx, spin_state(lbl))) for lbl in SPIN_STATE_LABELS)
+    bias_d = _pauli_bias(ctx, lambda p: _apply_disturbance(ctx, p))
 
     flags: tuple[str, ...] = ()
     try:
@@ -273,7 +288,8 @@ def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -
             eps2_analytic = square_error_analytic(g, alpha2)
         else:
             eps2_analytic = square_error_analytic_squeezed(g, alpha2, r)
-        bias_n = max(abs(noise_mean(ctx, spin_state(lbl))) for lbl in SPIN_STATE_LABELS)
+        scale = calibration_scale(ctx)
+        bias_n = _pauli_bias(ctx, lambda p: _apply_noise(ctx, p, scale))
     except CalibrationSingular:
         eps2 = eps2_analytic = bias_n = math.nan
         flags = ("SINGULAR",)

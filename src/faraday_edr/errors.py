@@ -24,6 +24,11 @@ class NonUnitaryError(FaradayEdrError):
     """A constructed evolution operator failed the unitarity check."""
 
 
+class BandStructureError(FaradayEdrError):
+    """Sy in the Sz eigenbasis of a photon-number sector is not tridiagonal
+    within tolerance, so the banded sweep kernel would drop real weight."""
+
+
 class CutoffCeilingError(FaradayEdrError):
     """The requested truncation would exceed the configured hard ceiling."""
 

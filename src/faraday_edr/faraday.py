@@ -1,10 +1,12 @@
 """Faraday interaction U = exp(-i g sigma_z (x) Sz) and Heisenberg evolution.
 
-Two construction paths are implemented.  The structured path diagonalizes
-Sz block-by-block (it conserves total photon number) and assembles the
-joint unitary from per-spin-sign phase factors; it is the fast default.
-The generic path eigendecomposes the full joint generator and serves as
-the test oracle.  Both must agree with each other and with the
+Sz conserves the total photon number, so it diagonalizes block by block.
+Sweeps never build the joint unitary: ``MeterWorkspace`` keeps the meter
+state and Sy in the Sz eigenbasis (Sy as one band), where U is a diagonal
+phase, for the vector evaluators in edr.  The joint-matrix routes below
+are oracles on the dense views.  The structured one assembles the joint
+unitary from per-spin-sign phase factors; the generic one eigendecomposes
+the full joint generator.  Both must agree with each other and with the
 closed-form rotated operators
 
     U^dag (I (x) Sy) U = (I (x) Sy) cos 2g + (sigma_z (x) Sx) sin 2g
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CalibrationSingular, NonUnitaryError, ZeroMeanSx
+from .errors import BandStructureError, CalibrationSingular, NonUnitaryError, ZeroMeanSx
 from .linalg import Ket, Operator, identity, sigma_x, sigma_y, sigma_z, tensor
 from .meter import (
     MeterBasis,
@@ -41,8 +43,9 @@ class MeterWorkspace:
     """The g-independent part of a measurement: basis, operators, meter state.
 
     Shared read-only between all interaction strengths of a sweep.  The
-    tilde attributes are the Sz eigenbasis
-    representations used by the fast vector evaluators in edr.
+    tilde attributes are the Sz eigenbasis representations used by the fast
+    vector evaluators in edr; they are built sector by sector and hold no
+    m x m array.
     """
 
     basis: MeterBasis
@@ -54,20 +57,40 @@ class MeterWorkspace:
     def mean_sx(self) -> float:
         amps = self.meter_state.amplitudes
         n2 = float(np.vdot(amps, amps).real)
-        return float(np.vdot(amps, self.stokes.sx.matrix @ amps).real) / n2
+        return float(np.vdot(amps, self.stokes.sx_diag * amps).real) / n2
 
     @cached_property
     def state_tilde(self) -> np.ndarray:
-        xt = self.eig.vectors.conj().T @ self.meter_state.amplitudes
+        xt = self.eig.to_eigenbasis(self.meter_state.amplitudes)
         xt.flags.writeable = False
         return xt
 
     @cached_property
     def sy_tilde(self) -> np.ndarray:
-        v = self.eig.vectors
-        st = v.conj().T @ self.stokes.sy.matrix @ v
-        st.flags.writeable = False
-        return st
+        """Superdiagonal of V^dag Sy V, length m - 1, zero across sectors.
+
+        Inside photon-number sector n, Sy = 2 Jx and Sz = 2 Jy of spin n/2
+        (Schwinger's two-mode map), so Sy only links neighbouring Sz
+        eigenvalues: V_n^dag Sy_n V_n is Hermitian tridiagonal with a zero
+        diagonal, up to rounding.  Everything outside that band is checked
+        against TOL.hermiticity times the block's largest entry and dropped.
+        """
+        band = np.zeros(self.basis.size - 1, dtype=np.complex128)
+        hop = self.stokes.hop
+        for n, v in enumerate(self.eig.blocks):
+            start = self.basis.block_slice(n).start
+            h = hop[start:start + n]
+            t = v.conj().T @ (np.diag(h, 1) + np.diag(h, -1)) @ v
+            upper = np.diag(t, 1)
+            defect = np.abs(t - np.diag(upper, 1) - np.diag(upper.conj(), -1)).max()
+            if defect > TOL.hermiticity * np.abs(t).max():
+                raise BandStructureError(
+                    f"V^dag Sy V of photon-number sector {n} leaves {defect:.3e} "
+                    f"outside its band (> {TOL.hermiticity:.0e} of its largest entry)"
+                )
+            band[start:start + n] = upper
+        band.flags.writeable = False
+        return band
 
 
 def build_workspace(alpha: complex, squeeze: SqueezeSpec | None = None,

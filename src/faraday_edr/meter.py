@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,15 +69,59 @@ class MeterBasis:
         return np.array([nh + nv for nh, nv in self.states], dtype=float)
 
 
-@dataclass(frozen=True)
+def apply_band(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """T vec for the Hermitian tridiagonal T with zero diagonal and
+    superdiagonal ``band``; vec is (m,) or (k, m), applied along the last axis."""
+    out = np.zeros_like(vec)
+    out[..., :-1] = band * vec[..., 1:]
+    out[..., 1:] += band.conj() * vec[..., :-1]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class StokesSet:
-    """The four Stokes operators on a truncated two-mode basis."""
+    """The four Stokes operators on a truncated two-mode basis, stored by band.
+
+    S0 and Sx are diagonal.  Sy and Sz couple (n_H, n_V) only to
+    (n_H + 1, n_V - 1) inside one photon-number sector, so in the basis
+    order they are tridiagonal with the one coupling band ``hop``:
+    hop[i] = <i+1| aH^t aV |i> = sqrt((n_H + 1) n_V), which is zero across
+    every sector boundary (the last state of a sector has n_V = 0).
+
+        Sy = hop on both off-diagonals,  Sz = i hop above, -i hop below.
+
+    The dense ``Operator`` views are assembled on first access, for the
+    oracle routes only.
+    """
 
     basis: MeterBasis
-    s0: Operator
-    sx: Operator
-    sy: Operator
-    sz: Operator
+    s0_diag: np.ndarray
+    sx_diag: np.ndarray
+    hop: np.ndarray
+
+    def _tridiagonal(self, diag, upper, lower) -> Operator:
+        m = np.zeros((self.basis.size, self.basis.size), dtype=np.complex128)
+        idx = np.arange(self.basis.size)
+        m[idx, idx] = diag
+        m[idx[:-1], idx[1:]] = upper
+        m[idx[1:], idx[:-1]] = lower
+        return Operator(m, self.basis.tag, hermitian=True)
+
+    @cached_property
+    def s0(self) -> Operator:
+        return self._tridiagonal(self.s0_diag, 0.0, 0.0)
+
+    @cached_property
+    def sx(self) -> Operator:
+        return self._tridiagonal(self.sx_diag, 0.0, 0.0)
+
+    @cached_property
+    def sy(self) -> Operator:
+        return self._tridiagonal(0.0, self.hop, self.hop)
+
+    @cached_property
+    def sz(self) -> Operator:
+        return self._tridiagonal(0.0, 1j * self.hop, -1j * self.hop)
 
 
 @dataclass(frozen=True)
@@ -119,57 +164,57 @@ def ladder_v(basis: MeterBasis) -> Operator:
 def build_stokes(basis: MeterBasis) -> StokesSet:
     """S0 = nH+nV, Sx = nH-nV, Sy = aH^t aV + aH aV^t, Sz = -i(aH^t aV - aH aV^t).
 
-    Matrix elements are written directly from the ladder actions; both
-    ladder hops conserve the total photon number, so every target state is
-    inside the basis.  (tests cross-check against explicit ladder-matrix
-    products.)
+    The diagonals and the coupling band are written directly from the
+    ladder actions; both ladder hops conserve the total photon number, so
+    every target state is inside the basis.  (tests cross-check against
+    explicit ladder-matrix products.)
     """
-    size = basis.size
-    s0 = np.zeros((size, size), dtype=np.complex128)
-    sx = np.zeros((size, size), dtype=np.complex128)
-    sy = np.zeros((size, size), dtype=np.complex128)
-    sz = np.zeros((size, size), dtype=np.complex128)
-    for i, (nh, nv) in enumerate(basis.states):
-        s0[i, i] = nh + nv
-        sx[i, i] = nh - nv
-        if nv >= 1:  # aH^t aV
-            j = basis.index_of(nh + 1, nv - 1)
-            amp = np.sqrt((nh + 1) * nv)
-            sy[j, i] += amp
-            sz[j, i] += -1j * amp
-        if nh >= 1:  # aH aV^t
-            j = basis.index_of(nh - 1, nv + 1)
-            amp = np.sqrt(nh * (nv + 1))
-            sy[j, i] += amp
-            sz[j, i] += 1j * amp
-    tag = basis.tag
-    return StokesSet(
-        basis=basis,
-        s0=Operator(s0, tag, hermitian=True),
-        sx=Operator(sx, tag, hermitian=True),
-        sy=Operator(sy, tag, hermitian=True),
-        sz=Operator(sz, tag, hermitian=True),
-    )
+    nh = np.array([s[0] for s in basis.states], dtype=float)
+    nv = np.array([s[1] for s in basis.states], dtype=float)
+    s0_diag, sx_diag, hop = nh + nv, nh - nv, np.sqrt((nh[:-1] + 1.0) * nv[:-1])
+    for arr in (s0_diag, sx_diag, hop):
+        arr.flags.writeable = False
+    return StokesSet(basis=basis, s0_diag=s0_diag, sx_diag=sx_diag, hop=hop)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SzEigensystem:
     """Spectral decomposition of Sz, computed block-by-block.
 
     Sz conserves the total photon number, so it is block tridiagonal in
     this enumeration; each total-n block diagonalizes independently.  The
-    spectrum is the integers n_L - n_R of the circular modes.
+    spectrum is the integers n_L - n_R of the circular modes, ascending
+    within each block.  ``blocks[n]`` holds the (n+1) x (n+1) eigenvectors
+    of block n; the dense block-diagonal ``vectors`` is assembled on first
+    access, for the oracle routes only.
     """
 
     basis: MeterBasis
     values: np.ndarray
-    vectors: np.ndarray
+    blocks: tuple
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        size = self.basis.size
+        vectors = np.zeros((size, size), dtype=np.complex128)
+        for n, v in enumerate(self.blocks):
+            sl = self.basis.block_slice(n)
+            vectors[sl, sl] = v
+        vectors.flags.writeable = False
+        return vectors
+
+    def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
+        """V^dag amps, sector by sector."""
+        out = np.empty(self.basis.size, dtype=np.complex128)
+        for n, v in enumerate(self.blocks):
+            sl = self.basis.block_slice(n)
+            out[sl] = v.conj().T @ amps[sl]
+        return out
 
 
 def sz_eigensystem(basis: MeterBasis) -> SzEigensystem:
-    size = basis.size
-    values = np.zeros(size)
-    vectors = np.zeros((size, size), dtype=np.complex128)
+    values = np.zeros(basis.size)
+    blocks = []
     for n in range(basis.n_max + 1):
         d = n + 1
         blk = np.zeros((d, d), dtype=np.complex128)
@@ -178,12 +223,11 @@ def sz_eigensystem(basis: MeterBasis) -> SzEigensystem:
             blk[k + 1, k] = -1j * amp
             blk[k, k + 1] = 1j * amp
         w, v = np.linalg.eigh(blk)
-        sl = basis.block_slice(n)
-        values[sl] = w
-        vectors[sl, sl] = v
+        values[basis.block_slice(n)] = w
+        v.flags.writeable = False
+        blocks.append(v)
     values.flags.writeable = False
-    vectors.flags.writeable = False
-    return SzEigensystem(basis=basis, values=values, vectors=vectors)
+    return SzEigensystem(basis=basis, values=values, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +418,8 @@ class StokesMoments:
     norm_deficit: float
 
 
-def _mean_var(op: Operator, amps: np.ndarray, n2: float) -> tuple[float, float]:
-    w = op.matrix @ amps
+def _mean_var(w: np.ndarray, amps: np.ndarray, n2: float) -> tuple[float, float]:
+    """Mean and variance of an operator X on amps, given w = X amps."""
     mean = float(np.vdot(amps, w).real) / n2
     var = float(np.vdot(w, w).real) / n2 - mean * mean
     return mean, var
@@ -388,10 +432,10 @@ def stokes_moments(state: Ket, stokes: StokesSet) -> StokesMoments:
         )
     amps = state.amplitudes
     n2 = float(np.vdot(amps, amps).real)
-    m0, v0 = _mean_var(stokes.s0, amps, n2)
-    mx, vx = _mean_var(stokes.sx, amps, n2)
-    my, vy = _mean_var(stokes.sy, amps, n2)
-    mz, vz = _mean_var(stokes.sz, amps, n2)
+    m0, v0 = _mean_var(stokes.s0_diag * amps, amps, n2)
+    mx, vx = _mean_var(stokes.sx_diag * amps, amps, n2)
+    my, vy = _mean_var(apply_band(stokes.hop, amps), amps, n2)
+    mz, vz = _mean_var(apply_band(1j * stokes.hop, amps), amps, n2)
     return StokesMoments(m0, v0, mx, vx, my, vy, mz, vz, state.norm_deficit)
 
 

@@ -16,6 +16,7 @@ and exp(-2 chi^2).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CalibrationSingular, QuadratureError
+from .errors import CalibrationSingular, NonFiniteValueError, QuadratureError
 
 #: chi at and above which the WIA forms deviate appreciably from the PSA ones
 WIA_VALIDITY_CHI = 0.3
@@ -63,10 +64,19 @@ def _require_positive_chi(chi: float) -> None:
         raise CalibrationSingular(f"square error diverges as chi -> 0 (chi = {chi!r})")
 
 
+def _inverse_four_chi2(chi: float) -> float:
+    """1 / (4 chi^2), refusing a chi so small that the value is not a float."""
+    _require_positive_chi(chi)
+    four_chi2 = 4.0 * chi * chi
+    eps2 = 1.0 / four_chi2 if four_chi2 > 0.0 else math.inf
+    if math.isinf(eps2):
+        raise NonFiniteValueError(f"1 / (4 chi^2) overflows at chi = {chi!r}")
+    return eps2
+
+
 def eps2_psa(chi: float) -> float:
     """1 / (4 chi^2)."""
-    _require_positive_chi(chi)
-    return 1.0 / (4.0 * chi * chi)
+    return _inverse_four_chi2(chi)
 
 
 def eta2_psa(chi: float) -> float:
@@ -76,9 +86,9 @@ def eta2_psa(chi: float) -> float:
 
 def eps2_wia(chi: float) -> float:
     """Weak-interaction square error; warns when chi is not small."""
-    _require_positive_chi(chi)
+    eps2 = _inverse_four_chi2(chi)
     _warn_wia(chi)
-    return 1.0 / (4.0 * chi * chi)
+    return eps2
 
 
 def eta2_wia(chi: float) -> float:
@@ -114,9 +124,18 @@ class GaussianMoments(NamedTuple):
     cos_mean: float
 
 
+@functools.lru_cache(maxsize=16)
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, read-only because the cache shares them."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _gauss_hermite_mean(f, std: float, nodes: int) -> float:
     """E[f(X)] for X ~ N(0, std^2), via Gauss-Hermite with substitution."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = _hermite_rule(nodes)
     vals = f(math.sqrt(2.0) * std * t)
     return float(np.dot(w, vals) / w.sum())
 

@@ -233,6 +233,15 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["moments", "--point", "nan,0", "-o", out]) == 1
     assert main(["moments", "--alpha2", "6", "--r", "inf", "-o", out]) == 1
     assert main(["moments", "--point", "-1,0", "-o", out]) == 1
+    # truncation settings are checked where the CLI resolves them
+    assert main(["sweep-g", "--tail-tol", "nan", "-o", out]) == 1
+    assert main(["sweep-g", "--tail-tol", "0", "-o", out]) == 1
+    assert main(["sweep-g", "--tail-tol", "1e-3", "--cutoff", "30", "-o", out]) == 1
+    assert main(["sweep-g", "--cutoff", "-1", "-o", out]) == 1
+    assert main(["tradeoff", "--tail-tol", "inf", "-o", out]) == 1
+    assert main(["moments", "--cutoff", "-1", "-o", out]) == 1
+    assert main(["verify", "--tail-tol", "nan"]) == 1
+    assert main(["verify", "--cutoff", "-1"]) == 1
 
 
 def test_exit_code_cutoff_ceiling(tmp_path):
@@ -261,6 +270,18 @@ def test_fmt_refuses_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonFiniteValueError):
             cli._fmt(bad)
+
+
+@pytest.mark.parametrize("model", ["psa", "wia"])
+@pytest.mark.parametrize("start, stop", [("1e-200", "1e-199"), ("1e-160", "1e-159")])
+def test_exit_code_chi_underflow(tmp_path, capsys, model, start, stop):
+    # 1 / (4 chi^2) is not a float this close to chi = 0: a failed numerical
+    # check, whether 4 chi^2 underflows to 0 or only to a subnormal
+    out = tmp_path / "tiny.csv"
+    assert main(["sweep-chi", "--model", model, "--start", start,
+                 "--stop", stop, "--steps", "2", "-o", str(out)]) == 3
+    assert "numerical check failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_non_finite_cell(tmp_path, monkeypatch, capsys):

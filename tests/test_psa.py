@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faraday_edr.edr import square_disturbance_numeric, square_error_numeric
-from faraday_edr.errors import CalibrationSingular, QuadratureError
+from faraday_edr.errors import CalibrationSingular, NonFiniteValueError, QuadratureError
 from faraday_edr.faraday import context_at
 from faraday_edr.linalg import spin_state
 from faraday_edr.psa import (
@@ -47,6 +47,15 @@ def test_eps2_divergence_at_zero_chi():
         eps2_psa(0.0)
     with pytest.raises(CalibrationSingular):
         eps2_wia(-1.0)
+
+
+@pytest.mark.parametrize("chi", [1e-160, 1e-200])
+def test_eps2_refuses_overflow_near_zero_chi(chi):
+    # 4 chi^2 is subnormal at 1e-160 and underflows to 0 at 1e-200
+    for eps2 in (eps2_psa, eps2_wia):
+        with pytest.raises(NonFiniteValueError):
+            eps2(chi)
+    assert eps2_psa(1e-150) == pytest.approx(0.25e300, rel=1e-12)
 
 
 def test_wia_reference_values():
