@@ -3,10 +3,11 @@
 Output is deterministic CSV (UTF-8, LF, comma-separated, 12 significant
 digits, '.' decimal separator); tradeoff runs additionally emit a plain
 Python plot script that reads only the CSV.  Exit codes: 0 success,
-1 usage error, 2 resource/cutoff error, 3 verification failure or a
-failed numerical check (a NaN or infinity bound for a CSV cell that is
-not flagged SINGULAR, or a meter whose Sy leaves the banded form the
-sweep kernel stores).
+1 usage error, 2 resource/cutoff error (including a --cutoff above the
+ceiling), 3 verification failure or a failed numerical check (a NaN or
+infinity bound for a CSV cell that is not flagged SINGULAR, a meter whose
+Sy leaves the banded form the sweep kernel stores, or a Gauss-Hermite
+quadrature that does not converge).
 
 Configuration precedence: command-line flags > key-value config file
 (flat ``key = value`` lines, '#' comments) > built-in defaults.  Every
@@ -30,6 +31,7 @@ from .errors import (
     FaradayEdrError,
     NonFiniteValueError,
     NormDeficitError,
+    QuadratureError,
     UsageError,
 )
 from .faraday import build_workspace
@@ -457,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CutoffCeilingError, NormDeficitError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteValueError, BandStructureError) as exc:
+    except (NonFiniteValueError, BandStructureError, QuadratureError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
     except FaradayEdrError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationSingular
+from .errors import CalibrationSingular, DimensionMismatchError
 from .faraday import (
     JointContext,
     MeterWorkspace,
@@ -67,20 +67,22 @@ def disturbance_operator(ctx: JointContext) -> Operator:
 
 def _joint_tilde(ctx: JointContext, psi: Ket, xi: Ket | None) -> np.ndarray:
     """Initial product state as a (2, m) array in the Sz eigenbasis."""
-    if psi.basis_tag != "spin":
-        raise ValueError("psi must be a spin-basis ket")
+    if psi.dim != 2:
+        raise DimensionMismatchError(f"psi must be a spin ket, got dimension {psi.dim}")
     if xi is None:
         xt = ctx.workspace.state_tilde
     else:
-        if xi.basis_tag != ctx.basis.tag:
-            raise ValueError("xi must live on the context's meter basis")
+        if xi.dim != ctx.basis.size:
+            raise DimensionMismatchError(
+                f"xi has dimension {xi.dim}, the context's meter basis {ctx.basis.size}"
+            )
         xt = ctx.workspace.eig.to_eigenbasis(xi.amplitudes)
     return np.array([psi.amplitudes[0] * xt, psi.amplitudes[1] * xt])
 
 
 def _evolve(ctx: JointContext, vec2m: np.ndarray, dagger: bool = False) -> np.ndarray:
     """Apply U (or U^dag) to a (2, m) tilde-basis vector; diagonal phases."""
-    ph = ctx.phases()
+    ph = ctx.phases
     if dagger:
         ph = ph.conj()
     return np.array([ph * vec2m[0], ph.conj() * vec2m[1]])
@@ -171,9 +173,10 @@ def square_error_analytic(g: float, alpha2: float) -> float:
 
 
 def square_disturbance_analytic(g: float, alpha2: float) -> float:
-    """Coherent-meter closed form 2 (1 - exp(-2 alpha2 sin^2 g))."""
+    """Coherent-meter closed form 2 (1 - exp(-2 alpha2 sin^2 g)), through
+    expm1 so that it keeps its digits at small g."""
     s = math.sin(g)
-    return 2.0 * (1.0 - math.exp(-2.0 * alpha2 * s * s))
+    return -2.0 * math.expm1(-2.0 * alpha2 * s * s)
 
 
 def square_error_analytic_squeezed(g: float, alpha2: float, r: float) -> float:
@@ -190,13 +193,13 @@ def square_disturbance_analytic_squeezed(g: float, alpha2: float, r: float) -> f
     """2 (1 - exp(-2 alpha2 e^{2r} sin^2 g)); reduces to the coherent form
     at r = 0."""
     s = math.sin(g)
-    return 2.0 * (1.0 - math.exp(-2.0 * alpha2 * math.exp(2.0 * r) * s * s))
+    return -2.0 * math.expm1(-2.0 * alpha2 * math.exp(2.0 * r) * s * s)
 
 
 def disturbance_bias_coefficient(g: float, alpha2: float) -> float:
     """exp(-2 alpha2 sin^2 g) - 1: the <D> bias per unit <sigma_x>."""
     s = math.sin(g)
-    return math.exp(-2.0 * alpha2 * s * s) - 1.0
+    return math.expm1(-2.0 * alpha2 * s * s)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BandStructureError, CalibrationSingular, NonUnitaryError, ZeroMeanSx
-from .linalg import Ket, Operator, identity, sigma_x, sigma_y, sigma_z, tensor
+from .errors import (
+    BandStructureError,
+    CalibrationSingular,
+    CutoffCeilingError,
+    NonUnitaryError,
+    ZeroMeanSx,
+)
+from .linalg import Ket, Operator, Spectrum, identity, sigma_x, sigma_y, sigma_z, tensor
 from .meter import (
     MeterBasis,
     SqueezeSpec,
@@ -45,7 +51,8 @@ class MeterWorkspace:
     Shared read-only between all interaction strengths of a sweep.  The
     tilde attributes are the Sz eigenbasis representations used by the fast
     vector evaluators in edr; they are built sector by sector and hold no
-    m x m array.
+    m x m array.  The dense spectra are the oracles' own eigendecompositions,
+    built on first use and independent of the per-sector ``eig``.
     """
 
     basis: MeterBasis
@@ -92,12 +99,26 @@ class MeterWorkspace:
         band.flags.writeable = False
         return band
 
+    @cached_property
+    def joint_generator_spectrum(self) -> Spectrum:
+        """Eigendecomposition of the dense 2m x 2m sigma_z (x) Sz."""
+        return Spectrum.of(tensor(sigma_z(), self.stokes.sz))
+
+    @cached_property
+    def sz_spectrum(self) -> Spectrum:
+        """Eigendecomposition of the dense m x m Sz."""
+        return Spectrum.of(self.stokes.sz)
+
 
 def build_workspace(alpha: complex, squeeze: SqueezeSpec | None = None,
                     cutoff: int | None = None, tail_tol: float = TOL.tail) -> MeterWorkspace:
     if cutoff is None:
         cutoff = choose_cutoff(abs(alpha) ** 2,
                                squeeze.r if squeeze is not None else 0.0, tail_tol)
+    elif cutoff > TOL.cutoff_ceiling:
+        raise CutoffCeilingError(
+            f"cutoff {cutoff} exceeds the ceiling {TOL.cutoff_ceiling}"
+        )
     basis = MeterBasis(cutoff)
     stokes = build_stokes(basis)
     state = prepare_meter_state(alpha, squeeze, basis, tail_tol)
@@ -122,10 +143,6 @@ class JointContext:
         return self.workspace.basis
 
     @property
-    def basis_tag(self) -> str:
-        return self.workspace.basis.joint_tag
-
-    @property
     def stokes(self) -> StokesSet:
         return self.workspace.stokes
 
@@ -137,21 +154,25 @@ class JointContext:
     def mean_sx(self) -> float:
         return self.workspace.mean_sx
 
-    def phases(self, sign: float = 1.0) -> np.ndarray:
-        """exp(-i g * sign * lambda) over the Sz spectrum."""
-        return np.exp(-1j * self.g * sign * self.workspace.eig.values)
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """exp(-i g lambda) over the Sz spectrum; U^dag and the spin-down
+        block use its conjugate."""
+        ph = np.exp(-1j * self.g * self.workspace.eig.values)
+        ph.flags.writeable = False
+        return ph
 
     @cached_property
     def u_t(self) -> Operator:
         eig = self.workspace.eig
         m = self.basis.size
-        ph = self.phases()
+        ph = self.phases
         u_plus = (eig.vectors * ph) @ eig.vectors.conj().T
         u_minus = (eig.vectors * ph.conj()) @ eig.vectors.conj().T
         joint = np.zeros((2 * m, 2 * m), dtype=np.complex128)
         joint[:m, :m] = u_plus
         joint[m:, m:] = u_minus
-        op = Operator(joint, self.basis_tag)
+        op = Operator(joint)
         defect = float(np.abs(op.matrix.conj().T @ op.matrix - np.eye(2 * m)).max())
         if defect > TOL.unitarity:
             raise NonUnitaryError(f"joint unitary deviates from unitarity by {defect:.3e}")
@@ -166,29 +187,26 @@ def context_at(workspace: MeterWorkspace, g: float) -> JointContext:
 def unitary_generic(ctx: JointContext) -> Operator:
     """exp(-i g sigma_z (x) Sz) via eigendecomposition of the full joint generator.
 
-    Slow-path oracle for the block-structured ``ctx.u_t``.
+    Slow-path oracle for the block-structured ``ctx.u_t``; the generator's
+    spectrum is taken once per workspace and the phase mapped onto it.
     """
-    from .linalg import hermitian_function
-
-    gen = tensor(sigma_z(), ctx.stokes.sz) * ctx.g
-    return hermitian_function(gen, lambda lam: np.exp(-1j * lam))
+    g = ctx.g
+    return ctx.workspace.joint_generator_spectrum.map(lambda lam: np.exp(-1j * g * lam))
 
 
 def lift_meter(ctx: JointContext, op: Operator) -> Operator:
-    return tensor(identity(2, "spin"), op)
+    return tensor(identity(2), op)
 
 
 def lift_spin(ctx: JointContext, op: Operator) -> Operator:
-    return tensor(op, identity(ctx.basis.size, ctx.basis.tag))
+    return tensor(op, identity(ctx.basis.size))
 
 
 def heisenberg_sy(ctx: JointContext) -> Operator:
     """U^dag (I (x) Sy) U as a full joint operator."""
     u = ctx.u_t
-    return Operator(
-        u.matrix.conj().T @ lift_meter(ctx, ctx.stokes.sy).matrix @ u.matrix,
-        ctx.basis_tag, hermitian=True,
-    )
+    return Operator(u.matrix.conj().T @ lift_meter(ctx, ctx.stokes.sy).matrix @ u.matrix,
+                    hermitian=True)
 
 
 def heisenberg_sy_closed_form(ctx: JointContext) -> Operator:
@@ -200,24 +218,21 @@ def heisenberg_sy_closed_form(ctx: JointContext) -> Operator:
 def heisenberg_bx(ctx: JointContext) -> Operator:
     """U^dag (sigma_x (x) I) U as a full joint operator."""
     u = ctx.u_t
-    return Operator(
-        u.matrix.conj().T @ lift_spin(ctx, sigma_x()).matrix @ u.matrix,
-        ctx.basis_tag, hermitian=True,
-    )
+    return Operator(u.matrix.conj().T @ lift_spin(ctx, sigma_x()).matrix @ u.matrix,
+                    hermitian=True)
 
 
 def heisenberg_bx_closed_form(ctx: JointContext) -> Operator:
     """sigma_x (x) cos(2g Sz) - sigma_y (x) sin(2g Sz).
 
     The trigonometric operator functions go through the generic
-    eigendecomposition of Sz, independent of the structured evolution
+    eigendecomposition of dense Sz, independent of the structured evolution
     path, so this doubles as its oracle.
     """
-    from .linalg import hermitian_function
-
     g2 = 2.0 * ctx.g
-    cos_op = hermitian_function(ctx.stokes.sz, lambda lam: np.cos(g2 * lam))
-    sin_op = hermitian_function(ctx.stokes.sz, lambda lam: np.sin(g2 * lam))
+    spectrum = ctx.workspace.sz_spectrum
+    cos_op = spectrum.map(lambda lam: np.cos(g2 * lam))
+    sin_op = spectrum.map(lambda lam: np.sin(g2 * lam))
     return tensor(sigma_x(), cos_op) - tensor(sigma_y(), sin_op)
 
 

@@ -1,17 +1,16 @@
-"""Minimal dense complex linear algebra kernel.
+"""Minimal dense complex linear algebra kernel for the oracle routes.
 
-Everything is a plain ``numpy`` array wrapped with a basis label so that
-cross-basis mistakes fail loudly instead of silently producing garbage.
-Operators and kets are immutable after construction and safe to share
-across threads.  Functions of Hermitian operators are evaluated through a
-full eigendecomposition; the spaces here are small enough that spectral
-accuracy beats any series expansion and independently validates the
-closed-form operator identities used elsewhere.
+Operators and kets are plain complex ``numpy`` arrays, held as read-only
+views (a complex128 input is not copied), with dimension checks so that
+mixing spaces of different size fails loudly with DimensionMismatchError
+instead of silently producing garbage.  Functions of Hermitian operators
+are evaluated through a full eigendecomposition; the spaces here are small
+enough that spectral accuracy beats any series expansion and independently
+validates the closed-form operator identities used elsewhere.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,68 +19,50 @@ import numpy as np
 from .errors import DimensionMismatchError, NonHermitianError
 from .tolerances import TOL
 
-_TAG_PATTERNS = (
-    (re.compile(r"^spin$"), lambda n: 2),
-    (re.compile(r"^meter\((\d+)\)$"), lambda n: (n + 1) * (n + 2) // 2),
-    (re.compile(r"^joint\((\d+)\)$"), lambda n: (n + 1) * (n + 2) // 2 * 2),
-    (re.compile(r"^fock\((\d+)\)$"), lambda n: n + 1),
-)
 
-
-def expected_dim(basis_tag: str) -> int | None:
-    """Dimension implied by a recognized basis tag, or None for free-form tags."""
-    for pattern, dim_of in _TAG_PATTERNS:
-        m = pattern.match(basis_tag)
-        if m:
-            n = int(m.group(1)) if m.groups() else 0
-            return dim_of(n)
-    return None
-
-
-def _check_tag(basis_tag: str, dim: int) -> None:
-    want = expected_dim(basis_tag)
-    if want is not None and want != dim:
-        raise DimensionMismatchError(
-            f"basis tag {basis_tag!r} implies dimension {want}, got {dim}"
-        )
-
-
-def _join_tags(a: str, b: str) -> str:
-    m = re.match(r"^meter\((\d+)\)$", b)
-    if a == "spin" and m:
-        return f"joint({m.group(1)})"
-    return f"{a}(x){b}"
+def _readonly(data, ndim: int, what: str) -> np.ndarray:
+    """A read-only complex128 view of data, refusing the wrong rank or non-finite entries."""
+    a = np.asarray(data, dtype=np.complex128).view()
+    if a.ndim != ndim:
+        raise DimensionMismatchError(f"{what} must have {ndim} axes, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} entries must be finite")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex square matrix on a labeled basis.
+    """Dense complex square matrix.
 
     Setting ``hermitian=True`` asserts Hermiticity at construction time
-    (max|M - M^dag| <= TOL.hermiticity) and records the flag for later
-    consumers; it is never inferred silently.
+    (max|M - M^dag| <= TOL.hermiticity).  Sums, scalar multiples, adjoints
+    and tensor products of flagged operators inherit the flag without a
+    re-check; it is never inferred silently.
     """
 
     matrix: np.ndarray
-    basis_tag: str
     hermitian: bool = False
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _readonly(self.matrix, 2, "operator")
+        if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("operator entries must be finite")
-        _check_tag(self.basis_tag, m.shape[0])
+        object.__setattr__(self, "matrix", m)
         if self.hermitian:
-            dev = float(np.abs(m - m.conj().T).max())
+            dev = self.hermiticity_defect()
             if dev > TOL.hermiticity:
                 raise NonHermitianError(
                     f"operator flagged Hermitian deviates by {dev:.3e} "
                     f"(> {TOL.hermiticity:.0e})"
                 )
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, hermitian: bool) -> "Operator":
+        """Result of arithmetic on checked operands: the flag is inherited."""
+        op = cls(matrix)
+        object.__setattr__(op, "hermitian", hermitian)
+        return op
 
     @property
     def dim(self) -> int:
@@ -89,41 +70,31 @@ class Operator:
 
     @property
     def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.basis_tag, hermitian=self.hermitian)
+        return Operator._derived(self.matrix.conj().T, self.hermitian)
 
-    def _require_same_basis(self, other: "Operator") -> None:
-        if self.basis_tag != other.basis_tag or self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"basis mismatch: {self.basis_tag!r}/{self.dim} vs "
-                f"{other.basis_tag!r}/{other.dim}"
-            )
+    def _require_same_dim(self, other: "Operator") -> None:
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_basis(other)
-        return Operator(self.matrix + other.matrix, self.basis_tag,
-                        hermitian=self.hermitian and other.hermitian)
+        self._require_same_dim(other)
+        return Operator._derived(self.matrix + other.matrix,
+                                 self.hermitian and other.hermitian)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_basis(other)
-        return Operator(self.matrix - other.matrix, self.basis_tag,
-                        hermitian=self.hermitian and other.hermitian)
+        self._require_same_dim(other)
+        return Operator._derived(self.matrix - other.matrix,
+                                 self.hermitian and other.hermitian)
 
     def __mul__(self, scalar: complex) -> "Operator":
         herm = self.hermitian and getattr(scalar, "imag", 0.0) == 0.0
-        return Operator(self.matrix * scalar, self.basis_tag, hermitian=herm)
+        return Operator._derived(self.matrix * scalar, herm)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        self._require_same_basis(other)
-        return Operator(self.matrix @ other.matrix, self.basis_tag)
-
-    def apply(self, ket: "Ket") -> "Ket":
-        if self.basis_tag != ket.basis_tag or self.dim != ket.dim:
-            raise DimensionMismatchError(
-                f"operator on {self.basis_tag!r} applied to ket on {ket.basis_tag!r}"
-            )
-        return Ket(self.matrix @ ket.amplitudes, ket.basis_tag)
+        self._require_same_dim(other)
+        return Operator(self.matrix @ other.matrix)
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
@@ -131,32 +102,20 @@ class Operator:
 
 @dataclass(frozen=True)
 class Ket:
-    """Complex state vector on a labeled basis.
+    """Complex state vector.
 
     Prepared states are deliberately not renormalized; ``norm_deficit``
     surfaces how much probability mass the truncation dropped.
     """
 
     amplitudes: np.ndarray
-    basis_tag: str
 
     def __post_init__(self) -> None:
-        v = np.array(self.amplitudes, dtype=np.complex128)
-        if v.ndim != 1:
-            raise DimensionMismatchError(f"ket must be a vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("ket amplitudes must be finite")
-        _check_tag(self.basis_tag, v.shape[0])
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _readonly(self.amplitudes, 1, "ket"))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     @property
     def norm_deficit(self) -> float:
@@ -171,10 +130,9 @@ def tensor(a, b):
     (i_a * dim_b + i_b), i.e. the left factor is the slow index.
     """
     if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.matrix, b.matrix), _join_tags(a.basis_tag, b.basis_tag),
-                        hermitian=a.hermitian and b.hermitian)
+        return Operator._derived(np.kron(a.matrix, b.matrix), a.hermitian and b.hermitian)
     if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes), _join_tags(a.basis_tag, b.basis_tag))
+        return Ket(np.kron(a.amplitudes, b.amplitudes))
     raise TypeError("tensor expects two Operators or two Kets")
 
 
@@ -184,56 +142,59 @@ def expectation(op: Operator, state: Ket) -> complex:
     Callers that work with truncated (norm-deficient) states divide by
     <state|state> explicitly; see e.g. meter.stokes_moments.
     """
-    if op.basis_tag != state.basis_tag or op.dim != state.dim:
-        raise DimensionMismatchError(
-            f"expectation of {op.basis_tag!r}/{op.dim} on {state.basis_tag!r}/{state.dim}"
-        )
+    if op.dim != state.dim:
+        raise DimensionMismatchError(f"expectation of a {op.dim}-dim operator "
+                                     f"on a {state.dim}-dim state")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
-def _map_eigenvalues(f: Callable[[float], complex], w: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(w), dtype=np.complex128)
-        if vals.shape == w.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(x)) for x in w], dtype=np.complex128)
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigendecomposition of a Hermitian operator, reusable for many maps."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @classmethod
+    def of(cls, op: Operator) -> "Spectrum":
+        defect = op.hermiticity_defect()
+        if defect > TOL.hermiticity:
+            raise NonHermitianError(
+                f"spectral decomposition input deviates from Hermiticity by {defect:.3e}"
+            )
+        return cls(*np.linalg.eigh(op.matrix))
+
+    def map(self, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
+        """V f(Lambda) V^dag for a vectorised scalar map f.
+
+        ``f`` may return complex values (e.g. a phase map
+        lambda -> exp(-1j*lambda), which yields a unitary); if it is
+        real-valued on the spectrum the result is flagged Hermitian.
+        """
+        vals = np.asarray(f(self.values), dtype=np.complex128)
+        mat = (self.vectors * vals) @ self.vectors.conj().T
+        return Operator(mat, hermitian=bool(np.all(vals.imag == 0.0)))
 
 
-def hermitian_function(op: Operator, f: Callable[[float], complex]) -> Operator:
-    """Apply a scalar map to a Hermitian operator via spectral decomposition.
-
-    Returns V f(Lambda) V^dag.  ``f`` may return complex values (e.g. a
-    phase map lambda -> exp(-1j*lambda), which yields a unitary); if f is
-    real-valued on the spectrum the result is flagged Hermitian.
-    """
-    defect = op.hermiticity_defect()
-    if defect > TOL.hermiticity:
-        raise NonHermitianError(
-            f"hermitian_function input deviates from Hermiticity by {defect:.3e}"
-        )
-    w, v = np.linalg.eigh(op.matrix)
-    vals = _map_eigenvalues(f, w)
-    mat = (v * vals) @ v.conj().T
-    real_map = bool(np.all(vals.imag == 0.0))
-    return Operator(mat, op.basis_tag, hermitian=real_map)
+def hermitian_function(op: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
+    """Apply a vectorised scalar map to a Hermitian operator via its spectrum."""
+    return Spectrum.of(op).map(f)
 
 
-def identity(dim: int, basis_tag: str) -> Operator:
-    return Operator(np.eye(dim, dtype=np.complex128), basis_tag, hermitian=True)
+def identity(dim: int) -> Operator:
+    return Operator(np.eye(dim, dtype=np.complex128), hermitian=True)
 
 
 def sigma_x() -> Operator:
-    return Operator(np.array([[0, 1], [1, 0]], dtype=np.complex128), "spin", hermitian=True)
+    return Operator(np.array([[0, 1], [1, 0]], dtype=np.complex128), hermitian=True)
 
 
 def sigma_y() -> Operator:
-    return Operator(np.array([[0, -1j], [1j, 0]], dtype=np.complex128), "spin", hermitian=True)
+    return Operator(np.array([[0, -1j], [1j, 0]], dtype=np.complex128), hermitian=True)
 
 
 def sigma_z() -> Operator:
-    return Operator(np.array([[1, 0], [0, -1]], dtype=np.complex128), "spin", hermitian=True)
+    return Operator(np.array([[1, 0], [0, -1]], dtype=np.complex128), hermitian=True)
 
 
 _SPIN_STATES = {
@@ -251,6 +212,6 @@ SPIN_STATE_LABELS = tuple(_SPIN_STATES)
 def spin_state(label: str) -> Ket:
     """One of the six Pauli eigenstates: z+/z-/x+/x-/y+/y-."""
     try:
-        return Ket(_SPIN_STATES[label], "spin")
+        return Ket(_SPIN_STATES[label])
     except KeyError:
         raise ValueError(f"unknown spin state {label!r}; choose from {SPIN_STATE_LABELS}")

@@ -49,14 +49,6 @@ class MeterBasis:
     def size(self) -> int:
         return len(self.states)
 
-    @property
-    def tag(self) -> str:
-        return f"meter({self.n_max})"
-
-    @property
-    def joint_tag(self) -> str:
-        return f"joint({self.n_max})"
-
     def index_of(self, nh: int, nv: int) -> int:
         return self._index[(nh, nv)]
 
@@ -105,7 +97,7 @@ class StokesSet:
         m[idx, idx] = diag
         m[idx[:-1], idx[1:]] = upper
         m[idx[1:], idx[:-1]] = lower
-        return Operator(m, self.basis.tag, hermitian=True)
+        return Operator(m, hermitian=True)
 
     @cached_property
     def s0(self) -> Operator:
@@ -142,23 +134,6 @@ class SqueezeSpec:
             raise ValueError("squeeze magnitude r must be finite")
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError("squeeze phase theta must be finite")
-
-
-def ladder_h(basis: MeterBasis) -> Operator:
-    """Annihilation operator of the H mode, confined to the truncated basis."""
-    m = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    for i, (nh, nv) in enumerate(basis.states):
-        if nh >= 1:
-            m[basis.index_of(nh - 1, nv), i] = np.sqrt(nh)
-    return Operator(m, basis.tag)
-
-
-def ladder_v(basis: MeterBasis) -> Operator:
-    m = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    for i, (nh, nv) in enumerate(basis.states):
-        if nv >= 1:
-            m[basis.index_of(nh, nv - 1), i] = np.sqrt(nv)
-    return Operator(m, basis.tag)
 
 
 def build_stokes(basis: MeterBasis) -> StokesSet:
@@ -238,9 +213,9 @@ def _single_mode_ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(np.complex128)
 
 
-def _exp_antihermitian(gen: np.ndarray, tag: str) -> np.ndarray:
+def _exp_antihermitian(gen: np.ndarray) -> np.ndarray:
     """exp(G) for anti-Hermitian G, via hermitian_function of K = iG."""
-    k = Operator(1j * gen, tag)
+    k = Operator(1j * gen)
     return hermitian_function(k, lambda lam: np.exp(-1j * lam)).matrix
 
 
@@ -248,15 +223,14 @@ def _displaced_squeezed_mode(alpha: complex, z: complex, dim: int) -> np.ndarray
     """Single-mode amplitudes of D(alpha) S(z) |0> on a dim-level Fock space."""
     a = _single_mode_ladder(dim)
     ad = a.conj().T
-    tag = f"fock({dim - 1})"
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
     if z != 0:
         gen_s = 0.5 * (np.conj(z) * (a @ a) - z * (ad @ ad))
-        psi = _exp_antihermitian(gen_s, tag) @ psi
+        psi = _exp_antihermitian(gen_s) @ psi
     if alpha != 0:
         gen_d = alpha * ad - np.conj(alpha) * a
-        psi = _exp_antihermitian(gen_d, tag) @ psi
+        psi = _exp_antihermitian(gen_d) @ psi
     return psi
 
 
@@ -313,7 +287,7 @@ def coherent_state(alpha: complex, basis: MeterBasis, tail_tol: float = TOL.tail
     for n in range(basis.n_max + 1):
         amps[basis.index_of(n, 0)] = c
         c = c * alpha / np.sqrt(n + 1.0)
-    ket = Ket(amps, basis.tag)
+    ket = Ket(amps)
     if ket.norm_deficit > tail_tol:
         raise NormDeficitError(
             f"coherent state |alpha|^2={abs(alpha)**2:.6g} at cutoff {basis.n_max} "
@@ -333,7 +307,7 @@ def squeezed_coherent_state(alpha: complex, squeeze: SqueezeSpec, basis: MeterBa
     The projection loss is the reported norm deficit.
     """
     psi_h, psi_v = _mode_amplitudes(alpha, squeeze, basis.n_max)
-    ket = Ket(_combine_modes(psi_h, psi_v, basis), basis.tag)
+    ket = Ket(_combine_modes(psi_h, psi_v, basis))
     if ket.norm_deficit > tail_tol:
         raise NormDeficitError(
             f"squeezed state |alpha|^2={abs(alpha)**2:.6g}, r={squeeze.r} at cutoff "
@@ -426,9 +400,9 @@ def _mean_var(w: np.ndarray, amps: np.ndarray, n2: float) -> tuple[float, float]
 
 
 def stokes_moments(state: Ket, stokes: StokesSet) -> StokesMoments:
-    if state.basis_tag != stokes.basis.tag:
+    if state.dim != stokes.basis.size:
         raise DimensionMismatchError(
-            f"state/stokes basis mismatch: {state.basis_tag!r} vs {stokes.basis.tag!r}"
+            f"a {state.dim}-dim state on a {stokes.basis.size}-dim Stokes set"
         )
     amps = state.amplitudes
     n2 = float(np.vdot(amps, amps).real)

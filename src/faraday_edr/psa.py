@@ -81,7 +81,7 @@ def eps2_psa(chi: float) -> float:
 
 def eta2_psa(chi: float) -> float:
     """2 (1 - exp(-2 chi^2)); monotone, saturates at 2."""
-    return 2.0 * (1.0 - math.exp(-2.0 * chi * chi))
+    return -2.0 * math.expm1(-2.0 * chi * chi)
 
 
 def eps2_wia(chi: float) -> float:

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from faraday_edr import cli
+from faraday_edr import cli, psa
 from faraday_edr.cli import CSV_HEADER, MOMENTS_HEADER, main, parse_angle
-from faraday_edr.errors import NonFiniteValueError, UsageError
+from faraday_edr.errors import NonFiniteValueError, QuadratureError, UsageError
 
 
 def read_rows(path):
@@ -250,6 +250,13 @@ def test_exit_code_cutoff_ceiling(tmp_path):
     assert rc == 2
 
 
+def test_exit_code_explicit_cutoff_above_ceiling(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep-g", "--cutoff", "201", "--steps", "2", "-o", str(out)]) == 2
+    assert "ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes_and_fails(tmp_path, capsys):
     assert main(["verify", "--alpha2", "6"]) == 0
     out = capsys.readouterr().out
@@ -288,6 +295,16 @@ def test_exit_code_non_finite_cell(tmp_path, monkeypatch, capsys):
     # a NaN that no SINGULAR flag accounts for fails the run and writes no file
     monkeypatch.setattr(cli, "eps2_from_oracle", lambda cfg: math.nan)
     out = tmp_path / "nan.csv"
+    assert main(["sweep-chi", "--model", "psa", "--steps", "3", "-o", str(out)]) == 3
+    assert "numerical check failed" in capsys.readouterr().err
+    assert not out.exists()
+
+def test_exit_code_quadrature_failure(tmp_path, monkeypatch, capsys):
+    def no_convergence(cfg, atol=1e-12, max_nodes=256):
+        raise QuadratureError("Gauss-Hermite did not converge")
+
+    monkeypatch.setattr(psa, "gaussian_oracle", no_convergence)
+    out = tmp_path / "q.csv"
     assert main(["sweep-chi", "--model", "psa", "--steps", "3", "-o", str(out)]) == 3
     assert "numerical check failed" in capsys.readouterr().err
     assert not out.exists()

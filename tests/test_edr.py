@@ -19,9 +19,9 @@ from faraday_edr.edr import (
     square_error_numeric,
     square_error_schrodinger,
 )
-from faraday_edr.errors import CalibrationSingular
+from faraday_edr.errors import CalibrationSingular, DimensionMismatchError
 from faraday_edr.faraday import build_workspace, context_at
-from faraday_edr.linalg import SPIN_STATE_LABELS, expectation, spin_state, tensor
+from faraday_edr.linalg import SPIN_STATE_LABELS, Ket, expectation, spin_state, tensor
 
 from conftest import acceptance_g_grid
 
@@ -163,6 +163,24 @@ def test_numeric_matches_analytic_on_grid(ws2):
         da = square_disturbance_analytic(float(g), 2.0)
         assert eps2 == pytest.approx(ea, rel=1e-6)
         assert eta2 == pytest.approx(da, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha2", [2.0, 6.0, 12.0])
+def test_disturbance_closed_form_accurate_at_small_g(request, alpha2):
+    # eta2 ~ 4 alpha2 g^2 here: 2 (1 - exp(-x)) would cancel to ~1e-6 relative
+    ws = request.getfixturevalue(f"ws{int(alpha2)}")
+    for g in np.geomspace(1e-6, 1e-2, 9):
+        eta2 = square_disturbance_numeric(context_at(ws, float(g)), Y_PLUS)
+        analytic = square_disturbance_analytic(float(g), alpha2)
+        assert eta2 == pytest.approx(analytic, rel=1e-10, abs=0.0)
+
+
+def test_vector_route_checks_dimensions(ws2):
+    ctx = context_at(ws2, 0.3)
+    with pytest.raises(DimensionMismatchError):
+        square_error_numeric(ctx, Ket(np.ones(3)))
+    with pytest.raises(DimensionMismatchError):
+        square_disturbance_numeric(ctx, Y_PLUS, Ket(np.ones(ws2.basis.size + 1)))
 
 
 def test_squeezed_numeric_matches_squeezed_closed_forms(ws_squeezed):

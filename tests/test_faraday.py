@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +96,7 @@ def test_sy_quarter_turn_is_pure_sx_channel(vacuum_ws):
 
 def test_sy_half_turn_flips_sign(vacuum_ws):
     ctx = context_at(vacuum_ws, math.pi / 2)
-    target = tensor(identity(2, "spin"), vacuum_ws.stokes.sy) * (-1.0)
+    target = tensor(identity(2), vacuum_ws.stokes.sy) * (-1.0)
     assert np.abs(heisenberg_sy(ctx).matrix - target.matrix).max() <= 1e-10
 
 
@@ -107,7 +111,7 @@ def test_sy_expectation_vanishes_on_sigma_y_eigenstate(ws6):
 
 
 def test_bx_identity_at_g_zero_and_revival_at_pi(vacuum_ws):
-    target = tensor(sigma_x(), identity(vacuum_ws.basis.size, vacuum_ws.basis.tag))
+    target = tensor(sigma_x(), identity(vacuum_ws.basis.size))
     for g in (0.0, math.pi):
         ctx = context_at(vacuum_ws, g)
         assert np.abs(heisenberg_bx(ctx).matrix - target.matrix).max() <= 1e-10
@@ -144,7 +148,7 @@ def test_calibrated_meter_quarter_turn_value(ws6):
 def test_calibrated_meter_unbiased_over_spin_states(ws6):
     ctx = context_at(ws6, 0.61)
     m_t = calibrated_meter(ctx)
-    a0 = tensor(sigma_z(), identity(ws6.basis.size, ws6.basis.tag))
+    a0 = tensor(sigma_z(), identity(ws6.basis.size))
     xi = ws6.meter_state
     n2 = 1.0 - xi.norm_deficit
     for label in SPIN_STATE_LABELS:
@@ -165,6 +169,43 @@ def test_zero_mean_sx_on_vacuum_meter(vacuum_ws):
 
 def test_build_joint_context_roundtrip():
     ctx = context_at(build_workspace(math.sqrt(2.0)), 0.25)
-    assert ctx.basis_tag == f"joint({ctx.basis.n_max})"
+    assert ctx.meter_state.dim == ctx.basis.size
     assert ctx.mean_sx == pytest.approx(2.0, rel=1e-9)
     assert ctx.meter_state.norm_deficit <= 1e-12
+
+
+def test_dense_oracles_eigendecompose_once_per_workspace(monkeypatch):
+    ws = build_workspace(0.0, cutoff=4)
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        shapes.append(a.shape)
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    m = ws.basis.size
+    for g in (0.3, 1.1, 2.9):
+        ctx = context_at(ws, g)
+        unitary_generic(ctx)
+        heisenberg_bx_closed_form(ctx)
+    assert sorted(shapes) == [(m, m), (2 * m, 2 * m)]
+
+
+def test_phases_cached_per_context(ws6):
+    ctx = context_at(ws6, 0.4)
+    assert ctx.phases is ctx.phases
+    assert not ctx.phases.flags.writeable
+    assert np.array_equal(ctx.phases, np.exp(-0.4j * ws6.eig.values))
+
+
+def test_importing_faraday_loads_no_sweep_modules():
+    import faraday_edr
+
+    src = str(Path(faraday_edr.__file__).resolve().parents[1])
+    code = ("import sys, faraday_edr.faraday; print(sorted(m for m in "
+            "('edr', 'psa', 'relations', 'verify', 'cli') if 'faraday_edr.' + m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

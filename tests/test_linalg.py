@@ -22,18 +22,18 @@ from faraday_edr.meter import MeterBasis, build_stokes, coherent_state
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator((m + m.conj().T) / 2, f"test{dim}", hermitian=True)
+    return Operator((m + m.conj().T) / 2, hermitian=True)
 
 
-def random_ket(dim, seed, tag):
+def random_ket(dim, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(v / np.linalg.norm(v), tag)
+    return Ket(v / np.linalg.norm(v))
 
 
 def test_tensor_identity_is_identity():
-    i2 = identity(2, "a")
-    i3 = identity(3, "b")
+    i2 = identity(2)
+    i3 = identity(3)
     assert np.array_equal(tensor(i2, i3).matrix, np.eye(6))
 
 
@@ -42,14 +42,14 @@ def test_tensor_of_hermitian_is_hermitian():
     joint = tensor(sigma_z(), stokes.sz)
     assert joint.hermitian
     assert joint.hermiticity_defect() == 0.0
-    assert joint.basis_tag == "joint(3)"
+    assert joint.dim == 2 * MeterBasis(3).size
 
 
 def test_product_state_expectation_factorizes():
     a = random_hermitian(2, 1)
     m = random_hermitian(5, 2)
-    psi = random_ket(2, 3, "test2")
-    xi = random_ket(5, 4, "test5")
+    psi = random_ket(2, 3)
+    xi = random_ket(5, 4)
     lhs = expectation(tensor(a, m), tensor(psi, xi))
     rhs = expectation(a, psi) * expectation(m, xi)
     assert abs(lhs - rhs) < 1e-12
@@ -92,8 +92,8 @@ def test_hermitian_function_integer_spectrum_kills_sin_2pi():
 
 
 def test_expectation_normalized_identity():
-    psi = random_ket(6, 7, "test6")
-    assert abs(expectation(identity(6, "test6"), psi) - 1.0) <= 1e-12
+    psi = random_ket(6, 7)
+    assert abs(expectation(identity(6), psi) - 1.0) <= 1e-12
 
 
 def test_expectation_sigma_y_eigenstate():
@@ -114,38 +114,40 @@ def test_expectation_sx_on_coherent_state():
 def test_expectation_hermitian_imaginary_part_small():
     op = random_hermitian(8, 9)
     for seed in range(4):
-        psi = random_ket(8, 20 + seed, "test8")
+        psi = random_ket(8, 20 + seed)
         assert abs(expectation(op, psi).imag) <= 1e-12
 
 
 def test_expectation_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        expectation(sigma_z(), random_ket(3, 1, "test3"))
+        expectation(sigma_z(), random_ket(3, 1))
 
 
 def test_hermitian_function_rejects_non_hermitian():
-    bad = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), "test2")
+    bad = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NonHermitianError):
         hermitian_function(bad, np.cos)
 
 
 def test_hermitian_flag_verified_at_construction():
     with pytest.raises(NonHermitianError):
-        Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), "test2", hermitian=True)
+        Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
 
 
 def test_operator_rejects_non_finite():
     with pytest.raises(ValueError):
-        Operator(np.array([[np.inf, 0.0], [0.0, 0.0]]), "test2")
+        Operator(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        Ket(np.array([np.nan, 0.0]), "test2")
+        Ket(np.array([np.nan, 0.0]))
 
 
-def test_operator_rejects_tag_dimension_mismatch():
+def test_operator_and_ket_reject_wrong_shape():
     with pytest.raises(DimensionMismatchError):
-        Operator(np.eye(3), "spin")
+        Operator(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
-        Ket(np.ones(4), "meter(2)")  # meter(2) has dimension 6
+        Operator(np.ones(4))
+    with pytest.raises(DimensionMismatchError):
+        Ket(np.ones((2, 2)))
 
 
 def test_operator_is_immutable():
@@ -154,9 +156,30 @@ def test_operator_is_immutable():
         op.matrix[0, 0] = 5.0
 
 
+def test_operator_wraps_complex_input_without_copy_or_lock():
+    data = np.eye(2, dtype=np.complex128)
+    op = Operator(data)
+    assert np.shares_memory(op.matrix, data)
+    data[0, 1] = 3.0  # the caller's array stays writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 5.0
+
+
+def test_arithmetic_inherits_hermitian_flag_without_recheck():
+    # within tolerance as built; scaled by 10 its defect would fail a re-check
+    a = Operator(np.array([[0.0, 1.0], [1.0 + 0.6e-12, 0.0]]), hermitian=True)
+    b = sigma_z()
+    for op in (a * 10.0, 10.0 * a, a + b, a - b, a.dag, tensor(a, b)):
+        assert op.hermitian
+    assert not (a * 1j).hermitian
+    assert not (a @ b).hermitian
+
+
 def test_operator_arithmetic_checks_basis():
     with pytest.raises(DimensionMismatchError):
-        sigma_x() + identity(6, "test6")
+        sigma_x() + identity(6)
+    with pytest.raises(DimensionMismatchError):
+        sigma_x() @ identity(3)
 
 
 def test_spin_state_labels():

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from faraday_edr.errors import CutoffCeilingError, NormDeficitError
+from faraday_edr.errors import CutoffCeilingError, DimensionMismatchError, NormDeficitError
 from faraday_edr.faraday import build_workspace
-from faraday_edr.linalg import expectation
+from faraday_edr.linalg import Operator, expectation
 from faraday_edr.meter import (
     MeterBasis,
     SqueezeSpec,
     build_stokes,
     choose_cutoff,
     coherent_state,
-    ladder_h,
-    ladder_v,
     predicted_moments,
     squeezed_coherent_state,
     stokes_moments,
@@ -29,6 +27,23 @@ def poisson_tail_cutoff(mean, tol):
         n += 1
         cum += math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
     return n
+
+
+def ladder_h(basis):
+    """Annihilation operator of the H mode, confined to the truncated basis."""
+    m = np.zeros((basis.size, basis.size), dtype=np.complex128)
+    for i, (nh, nv) in enumerate(basis.states):
+        if nh >= 1:
+            m[basis.index_of(nh - 1, nv), i] = np.sqrt(nh)
+    return Operator(m)
+
+
+def ladder_v(basis):
+    m = np.zeros((basis.size, basis.size), dtype=np.complex128)
+    for i, (nh, nv) in enumerate(basis.states):
+        if nv >= 1:
+            m[basis.index_of(nh, nv - 1), i] = np.sqrt(nv)
+    return Operator(m)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +176,17 @@ def test_choose_cutoff_validation_and_ceiling():
         choose_cutoff(6.0, 0.0, 1e-3)  # tail_tol must be <= 1e-6
     with pytest.raises(CutoffCeilingError):
         choose_cutoff(1e5, 0.0, 1e-12)
+
+
+def test_stokes_moments_checks_dimension():
+    state = coherent_state(1.0, MeterBasis(20))
+    with pytest.raises(DimensionMismatchError):
+        stokes_moments(state, build_stokes(MeterBasis(21)))
+
+
+def test_build_workspace_refuses_cutoff_above_ceiling():
+    with pytest.raises(CutoffCeilingError):
+        build_workspace(1.0, cutoff=201)
 
 
 # ---------------------------------------------------------------------------
