@@ -317,6 +317,8 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     alpha2 = settings.get("alpha2", _parse_float, default=None)
+    if alpha2 is not None:
+        _check_meter(None, alpha2, 0.0)
     tail_tol, cutoff = _resolve_truncation(settings)
     results = run_all_suites(alpha2=alpha2, cutoff=cutoff, tail_tol=tail_tol)
     for res in results:
@@ -379,12 +381,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, prepares_meter: bool = True) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("-o", "--output", help="output CSV path")
-    sub.add_argument("--tail-tol", dest="tail_tol",
-                     help="norm-deficit budget for state preparation (default 1e-12)")
-    sub.add_argument("--cutoff", help="total-photon-number cutoff override")
+    if prepares_meter:
+        sub.add_argument("--tail-tol", dest="tail_tol",
+                         help="norm-deficit budget for state preparation (default 1e-12)")
+        sub.add_argument("--cutoff", help="total-photon-number cutoff override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_chi.add_argument("--start", help="first chi (default 0.05)")
     sweep_chi.add_argument("--stop", help="last chi (default 2.0)")
     sweep_chi.add_argument("--steps", help="grid size (default 100)")
-    _add_common(sweep_chi)
+    _add_common(sweep_chi, prepares_meter=False)
     sweep_chi.set_defaults(func=cmd_sweep_chi)
 
     tradeoff = commands.add_parser("tradeoff", help="error-disturbance tradeoff curve "

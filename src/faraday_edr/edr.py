@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .faraday import (
     calibrated_meter,
     lift_spin,
 )
-from .linalg import Ket, Operator, sigma_x, sigma_z, spin_state, SPIN_STATE_LABELS
+from .linalg import Ket, Operator, sigma_x, sigma_y, sigma_z, spin_state, SPIN_STATE_LABELS
 from .meter import apply_band
 from .tolerances import TOL
 
@@ -247,13 +248,19 @@ def _spin_sigmas(psi: Ket) -> tuple[float, float, float]:
         mean = float(np.vdot(amps, w).real)
         return math.sqrt(max(float(np.vdot(w, w).real) - mean * mean, 0.0))
 
-    from .linalg import sigma_y
-
     c_ab = abs(float(np.vdot(amps, sigma_y().matrix @ amps).real))
     return _std(sigma_z()), _std(sigma_x()), c_ab
 
 
-def _pauli_bias(ctx: JointContext, apply) -> float:
+@cache
+def _sweep_spin_constants() -> tuple[Ket, tuple[float, float, float], tuple[Ket, ...]]:
+    """The sweep spin state, its (sigma_A, sigma_B, C) and the six Pauli
+    eigenstates: the same for every point, so built once, on first use."""
+    psi = spin_state(SWEEP_SPIN_STATE)
+    return psi, _spin_sigmas(psi), tuple(map(spin_state, SPIN_STATE_LABELS))
+
+
+def _pauli_bias(ctx: JointContext, paulis: tuple[Ket, ...], apply) -> float:
     """max |<X>| over the six Pauli eigenstates (x) the meter state.
 
     X is a joint operator given by its action ``apply`` on (2, m) tilde
@@ -267,14 +274,13 @@ def _pauli_bias(ctx: JointContext, apply) -> float:
     reduced = np.array([[np.vdot(xt, col[i]) for col in cols] for i in range(2)])
     reduced /= float(np.vdot(xt, xt).real)
     return max(abs(np.vdot(psi.amplitudes, reduced @ psi.amplitudes))
-               for psi in map(spin_state, SPIN_STATE_LABELS))
+               for psi in paulis)
 
 
 def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -> EDRPoint:
     """Assemble the full per-sample record at interaction strength g."""
     ctx = context_at(workspace, g)
-    psi = spin_state(SWEEP_SPIN_STATE)
-    sigma_a, sigma_b, c_ab = _spin_sigmas(psi)
+    psi, (sigma_a, sigma_b, c_ab), paulis = _sweep_spin_constants()
     deficit = workspace.meter_state.norm_deficit
 
     eta2 = square_disturbance_numeric(ctx, psi)
@@ -282,7 +288,7 @@ def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -
         eta2_analytic = square_disturbance_analytic(g, alpha2)
     else:
         eta2_analytic = square_disturbance_analytic_squeezed(g, alpha2, r)
-    bias_d = _pauli_bias(ctx, lambda p: _apply_disturbance(ctx, p))
+    bias_d = _pauli_bias(ctx, paulis, lambda p: _apply_disturbance(ctx, p))
 
     flags: tuple[str, ...] = ()
     try:
@@ -292,7 +298,7 @@ def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -
         else:
             eps2_analytic = square_error_analytic_squeezed(g, alpha2, r)
         scale = calibration_scale(ctx)
-        bias_n = _pauli_bias(ctx, lambda p: _apply_noise(ctx, p, scale))
+        bias_n = _pauli_bias(ctx, paulis, lambda p: _apply_noise(ctx, p, scale))
     except CalibrationSingular:
         eps2 = eps2_analytic = bias_n = math.nan
         flags = ("SINGULAR",)

@@ -176,11 +176,6 @@ class Spectrum:
         return Operator(mat, hermitian=bool(np.all(vals.imag == 0.0)))
 
 
-def hermitian_function(op: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Apply a vectorised scalar map to a Hermitian operator via its spectrum."""
-    return Spectrum.of(op).map(f)
-
-
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128), hermitian=True)
 

@@ -10,6 +10,7 @@ not have this property.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CutoffCeilingError, DimensionMismatchError, NormDeficitError
-from .linalg import Ket, Operator, hermitian_function
+from .linalg import Ket, Operator
 from .tolerances import TOL
 
 
@@ -37,7 +38,6 @@ class MeterBasis:
             raise ValueError("n_max must be non-negative")
         states = tuple((nh, n - nh) for n in range(self.n_max + 1) for nh in range(n + 1))
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(states)})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MeterBasis) and other.n_max == self.n_max
@@ -49,9 +49,6 @@ class MeterBasis:
     def size(self) -> int:
         return len(self.states)
 
-    def index_of(self, nh: int, nv: int) -> int:
-        return self._index[(nh, nv)]
-
     def block_slice(self, n: int) -> slice:
         """Indices of the total-photon-number-n block."""
         start = n * (n + 1) // 2
@@ -59,6 +56,13 @@ class MeterBasis:
 
     def totals(self) -> np.ndarray:
         return np.array([nh + nv for nh, nv in self.states], dtype=float)
+
+
+def _occupations(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_H, n_V) index arrays of MeterBasis(n_max), in its basis order."""
+    n = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+    nh = np.arange(n.size) - n * (n + 1) // 2
+    return nh, n - nh
 
 
 def apply_band(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -144,8 +148,7 @@ def build_stokes(basis: MeterBasis) -> StokesSet:
     every target state is inside the basis.  (tests cross-check against
     explicit ladder-matrix products.)
     """
-    nh = np.array([s[0] for s in basis.states], dtype=float)
-    nv = np.array([s[1] for s in basis.states], dtype=float)
+    nh, nv = (k.astype(float) for k in _occupations(basis.n_max))
     s0_diag, sx_diag, hop = nh + nv, nh - nv, np.sqrt((nh[:-1] + 1.0) * nv[:-1])
     for arr in (s0_diag, sx_diag, hop):
         arr.flags.writeable = False
@@ -209,37 +212,6 @@ def sz_eigensystem(basis: MeterBasis) -> SzEigensystem:
 # state preparation
 
 
-def _single_mode_ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(np.complex128)
-
-
-def _exp_antihermitian(gen: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G, via hermitian_function of K = iG."""
-    k = Operator(1j * gen)
-    return hermitian_function(k, lambda lam: np.exp(-1j * lam)).matrix
-
-
-def _displaced_squeezed_mode(alpha: complex, z: complex, dim: int) -> np.ndarray:
-    """Single-mode amplitudes of D(alpha) S(z) |0> on a dim-level Fock space."""
-    a = _single_mode_ladder(dim)
-    ad = a.conj().T
-    psi = np.zeros(dim, dtype=np.complex128)
-    psi[0] = 1.0
-    if z != 0:
-        gen_s = 0.5 * (np.conj(z) * (a @ a) - z * (ad @ ad))
-        psi = _exp_antihermitian(gen_s) @ psi
-    if alpha != 0:
-        gen_d = alpha * ad - np.conj(alpha) * a
-        psi = _exp_antihermitian(gen_d) @ psi
-    return psi
-
-
-def _working_dim(n_max: int) -> int:
-    # +40% padding, min +10: squeeze/displace do not conserve photon number,
-    # so they are exponentiated in a larger space before projecting back.
-    return n_max + max(10, math.ceil(0.4 * n_max)) + 1
-
-
 def _squeeze_phase(alpha: complex, squeeze: SqueezeSpec) -> float:
     """Enforce the amplitude-squeezing convention arg(alpha) - theta/2 = 0."""
     if alpha == 0:
@@ -256,117 +228,86 @@ def _squeeze_phase(alpha: complex, squeeze: SqueezeSpec) -> float:
     return squeeze.theta
 
 
-def _mode_amplitudes(alpha: complex, squeeze: SqueezeSpec | None,
-                     n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H-mode, V-mode) single-mode amplitudes, prepared in a padded space."""
-    dim = _working_dim(n_max)
+def _mode_amplitudes(alpha: complex, r: float, theta: float, n_max: int) -> np.ndarray:
+    """c_n = <n|D(alpha) S(r e^{i theta})|0>, n = 0..n_max, from the exact recurrence
+
+        sqrt(n+1) c_{n+1} = beta c_n - t sqrt(n) c_{n-1},
+        c_0 = exp(-|alpha|^2/2 - alpha^*^2 t/2) / sqrt(cosh r),
+
+    t = e^{i theta} tanh r, beta = alpha + t alpha^*, which follows from
+    (a + t a^t) D S|0> = beta D S|0>; at r = 0 it is the coherent recursion.
+    t comes from (r, theta), not z/|z| (NaN for a subnormal r), and
+    1/cosh r from exp(-|r|), which cannot overflow.
+    """
+    alpha = complex(alpha)
+    t = cmath.rect(math.tanh(r), theta)
+    beta = alpha + t * alpha.conjugate()
+    e = math.exp(-abs(r))
+    phase = -0.5 * alpha.conjugate() ** 2 * t
+    # np.exp, not math.exp: they differ in the last bit for some arguments,
+    # and np.exp reproduces the coherent amplitudes behind tests/golden exactly
+    cur = (float(np.exp(-0.5 * abs(alpha) ** 2 + phase.real)) * cmath.exp(1j * phase.imag)
+           * math.sqrt(2.0 * e / (1.0 + e * e)))
+    prev = 0j
+    c = np.empty(n_max + 1, dtype=np.complex128)
+    for n in range(n_max + 1):
+        c[n] = cur
+        prev, cur = cur, (beta * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
+    return c
+
+
+def _mode_pair(alpha: complex, squeeze: SqueezeSpec | None,
+               n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, V) amplitudes of D(alpha) S(z)|0>_H |0>_V: the two-mode squeezer of
+    the circular modes is one single-mode squeezer on each of H and V."""
     if squeeze is None or squeeze.r == 0.0:
-        z = 0.0
+        r = theta = 0.0
     else:
-        z = squeeze.r * np.exp(1j * _squeeze_phase(alpha, squeeze))
-    psi_h = _displaced_squeezed_mode(alpha, z, dim)
-    psi_v = _displaced_squeezed_mode(0.0, z, dim)
-    return psi_h, psi_v
+        r, theta = squeeze.r, _squeeze_phase(alpha, squeeze)
+    return _mode_amplitudes(alpha, r, theta, n_max), _mode_amplitudes(0.0, r, theta, n_max)
 
 
-def _combine_modes(psi_h: np.ndarray, psi_v: np.ndarray, basis: MeterBasis) -> np.ndarray:
-    amps = np.empty(basis.size, dtype=np.complex128)
-    for i, (nh, nv) in enumerate(basis.states):
-        amps[i] = psi_h[nh] * psi_v[nv]
-    return amps
-
-
-def coherent_state(alpha: complex, basis: MeterBasis, tail_tol: float = TOL.tail) -> Ket:
-    """|alpha>_H |0>_V with exact per-entry amplitudes; not renormalized.
-
-    Raises NormDeficitError when the basis cutoff drops more than tail_tol
-    of probability mass.
-    """
-    amps = np.zeros(basis.size, dtype=np.complex128)
-    c = np.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(basis.n_max + 1):
-        amps[basis.index_of(n, 0)] = c
-        c = c * alpha / np.sqrt(n + 1.0)
-    ket = Ket(amps)
-    if ket.norm_deficit > tail_tol:
-        raise NormDeficitError(
-            f"coherent state |alpha|^2={abs(alpha)**2:.6g} at cutoff {basis.n_max} "
-            f"has norm deficit {ket.norm_deficit:.3e} > tail_tol {tail_tol:.1e}"
-        )
-    return ket
-
-
-def squeezed_coherent_state(alpha: complex, squeeze: SqueezeSpec, basis: MeterBasis,
-                            tail_tol: float = TOL.tail) -> Ket:
-    """D(alpha) S(z) |0>_H |0>_V truncated to the analysis basis.
-
-    The two-mode squeezer in the circular modes factorizes into identical
-    single-mode squeezers on H and V, so each mode is prepared by
-    exponentiating its generators (via hermitian_function) in a padded
-    working space and the product is projected onto n_H + n_V <= n_max.
-    The projection loss is the reported norm deficit.
-    """
-    psi_h, psi_v = _mode_amplitudes(alpha, squeeze, basis.n_max)
-    ket = Ket(_combine_modes(psi_h, psi_v, basis))
-    if ket.norm_deficit > tail_tol:
-        raise NormDeficitError(
-            f"squeezed state |alpha|^2={abs(alpha)**2:.6g}, r={squeeze.r} at cutoff "
-            f"{basis.n_max} has norm deficit {ket.norm_deficit:.3e} > tail_tol {tail_tol:.1e}"
-        )
-    return ket
+def _deficits(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """1 - (mass with n_H + n_V <= n), n = 0..len(h) - 1.  Entry n reads only
+    h[:n+1] and v[:n+1], so the cutoff choice and the check at preparation
+    see the same number."""
+    h2, v2 = np.abs(h) ** 2, np.abs(v) ** 2
+    return 1.0 - np.cumsum([np.dot(h2[: n + 1], v2[n::-1]) for n in range(h.size)])
 
 
 def prepare_meter_state(alpha: complex, squeeze: SqueezeSpec | None, basis: MeterBasis,
                         tail_tol: float = TOL.tail) -> Ket:
-    if squeeze is None:
-        return coherent_state(alpha, basis, tail_tol)
-    return squeezed_coherent_state(alpha, squeeze, basis, tail_tol)
+    """D(alpha) S(z)|0>_H |0>_V (squeeze None: coherent), exact per entry and
+    not renormalized; NormDeficitError when the cutoff drops > tail_tol."""
+    h, v = _mode_pair(alpha, squeeze, basis.n_max)
+    deficit = _deficits(h, v)[-1]
+    if deficit > tail_tol:
+        r = squeeze.r if squeeze is not None else 0.0
+        raise NormDeficitError(
+            f"meter state |alpha|^2={abs(alpha)**2:.6g}, r={r} at cutoff {basis.n_max} "
+            f"has norm deficit {deficit:.3e} > tail_tol {tail_tol:.1e}"
+        )
+    nh, nv = _occupations(basis.n_max)
+    return Ket(h[nh] * v[nv])
 
 
-def choose_cutoff(alpha2: float, r: float = 0.0, tail_tol: float = TOL.tail,
-                  ceiling: int = TOL.cutoff_ceiling) -> int:
-    """Smallest n_max whose prepared-state norm deficit is within tail_tol.
-
-    The photon-number mass profile is computed once at a generous scan
-    cutoff (starting from ceil(alpha2 + 8*sqrt(alpha2+1)), grown if that
-    is still lossy), then the smallest adequate n_max is read off the
-    cumulative mass.  The result can sit well below the scan start: a
-    vacuum meter needs no photons at all.
-    """
-    if alpha2 < 0:
-        raise ValueError("alpha2 must be non-negative")
+def choose_cutoff(alpha2: float, r: float = 0.0, tail_tol: float = TOL.tail) -> int:
+    """Smallest n_max whose prepared-state norm deficit is within tail_tol,
+    read off the two modes prepared once up to TOL.cutoff_ceiling (the
+    recurrence costs O(ceiling) per mode)."""
+    if not (math.isfinite(alpha2) and alpha2 >= 0):
+        raise ValueError(f"alpha2 must be finite and non-negative, got {alpha2!r}")
     if not 0.0 < tail_tol <= 1e-6:
         raise ValueError("tail_tol must lie in (0, 1e-6]")
-    alpha = math.sqrt(alpha2)
+    ceiling = TOL.cutoff_ceiling
     squeeze = SqueezeSpec(r) if r != 0.0 else None
-
-    scan = max(0, math.ceil(alpha2 + 8.0 * math.sqrt(alpha2 + 1.0)))
-    scan = min(scan, ceiling)
-    while True:
-        psi_h, psi_v = _mode_amplitudes(alpha, squeeze, scan)
-        # mass per total photon number n, summed over the (nh, n-nh) splits
-        ph2 = np.abs(psi_h[: scan + 1]) ** 2
-        pv2 = np.abs(psi_v[: scan + 1]) ** 2
-        mass = np.array([np.dot(ph2[: n + 1], pv2[: n + 1][::-1]) for n in range(scan + 1)])
-        deficit = 1.0 - np.cumsum(mass)
-        if deficit[-1] <= tail_tol:
-            break
-        if scan >= ceiling:
-            raise CutoffCeilingError(
-                f"norm deficit {deficit[-1]:.3e} still exceeds {tail_tol:.1e} at the "
-                f"cutoff ceiling {ceiling}"
-            )
-        scan = min(math.ceil(scan * 1.5) + 10, ceiling)
-
-    n_star = int(np.argmax(deficit <= tail_tol))
-    # confirm against an actual preparation at the candidate cutoff
-    while n_star <= ceiling:
-        try:
-            prepare_meter_state(alpha, squeeze, MeterBasis(n_star), tail_tol)
-            return n_star
-        except NormDeficitError:
-            n_star += 1
-    raise CutoffCeilingError(f"no adequate cutoff below the ceiling {ceiling}")
+    deficit = _deficits(*_mode_pair(math.sqrt(alpha2), squeeze, ceiling))
+    if deficit[-1] > tail_tol:
+        raise CutoffCeilingError(
+            f"norm deficit {deficit[-1]:.3e} still exceeds {tail_tol:.1e} at the "
+            f"cutoff ceiling {ceiling}"
+        )
+    return int(np.argmax(deficit <= tail_tol))
 
 
 # ---------------------------------------------------------------------------

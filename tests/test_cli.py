@@ -242,6 +242,14 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["moments", "--cutoff", "-1", "-o", out]) == 1
     assert main(["verify", "--tail-tol", "nan"]) == 1
     assert main(["verify", "--cutoff", "-1"]) == 1
+    # verify checks its amplitude like the sweeps do
+    assert main(["verify", "--alpha2", "-1"]) == 1
+    assert main(["verify", "--alpha2", "nan"]) == 1
+    assert main(["verify", "--alpha2", "inf"]) == 1
+    # sweep-chi prepares no meter state, so it has no truncation flags
+    assert main(["sweep-chi", "--cutoff", "5", "-o", out]) == 1
+    assert main(["sweep-chi", "--tail-tol", "1", "-o", out]) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_exit_code_cutoff_ceiling(tmp_path):
@@ -254,6 +262,16 @@ def test_exit_code_explicit_cutoff_above_ceiling(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep-g", "--cutoff", "201", "--steps", "2", "-o", str(out)]) == 2
     assert "ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["800", "-800"])
+def test_exit_code_extreme_squeezing(tmp_path, capsys, r):
+    # 1/sqrt(cosh r) underflows to 0: no mass below the ceiling, no overflow
+    out = tmp_path / "x.csv"
+    assert main(["sweep-g", "--model", "exact-squeezed", "--alpha2", "1", "--r", r,
+                 "--steps", "2", "-o", str(out)]) == 2
+    assert "cutoff ceiling" in capsys.readouterr().err
     assert not out.exists()
 
 

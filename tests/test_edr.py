@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from faraday_edr import edr
 from faraday_edr.edr import (
     disturbance_bias_coefficient,
     disturbance_mean,
@@ -249,4 +250,18 @@ def test_edr_point_squeezed(ws_squeezed):
     assert pt.eps2_analytic == square_error_analytic_squeezed(0.4, 9.0, 0.3)
     assert pt.eps2 == pytest.approx(pt.eps2_analytic, rel=1e-6)
     assert pt.eta2 == pytest.approx(pt.eta2_analytic, rel=1e-6)
+    assert pt.bias_noise <= 1e-10
+
+
+def test_edr_point_builds_no_spin_constants(ws6, monkeypatch):
+    # the sweep spin state, its sigmas and the six Pauli states are built once
+    edr_point_at(ws6, 0.2, 6.0, 0.0)
+
+    def refuse(*args):
+        raise AssertionError("spin state or Pauli operator built per point")
+
+    for name in ("spin_state", "sigma_x", "sigma_y", "sigma_z"):
+        monkeypatch.setattr(edr, name, refuse, raising=False)
+    pt = edr_point_at(ws6, 0.3, 6.0, 0.0)
+    assert (pt.sigma_a, pt.sigma_b, pt.c_ab) == pytest.approx((1.0, 1.0, 1.0), abs=1e-15)
     assert pt.bias_noise <= 1e-10

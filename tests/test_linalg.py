@@ -7,8 +7,8 @@ from faraday_edr.errors import DimensionMismatchError, NonHermitianError
 from faraday_edr.linalg import (
     Ket,
     Operator,
+    Spectrum,
     expectation,
-    hermitian_function,
     identity,
     sigma_x,
     sigma_y,
@@ -16,7 +16,7 @@ from faraday_edr.linalg import (
     spin_state,
     tensor,
 )
-from faraday_edr.meter import MeterBasis, build_stokes, coherent_state
+from faraday_edr.meter import MeterBasis, build_stokes, prepare_meter_state
 
 
 def random_hermitian(dim, seed):
@@ -67,13 +67,13 @@ def test_tensor_associativity_exact_on_artifact_operators():
 
 def test_hermitian_function_identity_map():
     op = random_hermitian(7, 5)
-    back = hermitian_function(op, lambda lam: lam)
+    back = Spectrum.of(op).map(lambda lam: lam)
     assert np.abs(back.matrix - op.matrix).max() <= 1e-12
 
 
 def test_hermitian_function_phase_map_is_unitary():
     op = random_hermitian(9, 6)
-    u = hermitian_function(op, lambda lam: np.exp(-1j * lam))
+    u = Spectrum.of(op).map(lambda lam: np.exp(-1j * lam))
     defect = np.abs(u.matrix.conj().T @ u.matrix - np.eye(9)).max()
     assert defect <= 1e-11
     assert not u.hermitian
@@ -81,13 +81,13 @@ def test_hermitian_function_phase_map_is_unitary():
 
 def test_hermitian_function_cos_of_sigma_z():
     # eigenvalues are +-1 and cos is even
-    out = hermitian_function(sigma_z(), np.cos)
+    out = Spectrum.of(sigma_z()).map(np.cos)
     assert np.abs(out.matrix - math.cos(1.0) * np.eye(2)).max() <= 1e-15
 
 
 def test_hermitian_function_integer_spectrum_kills_sin_2pi():
     stokes = build_stokes(MeterBasis(6))
-    out = hermitian_function(stokes.sz, lambda lam: np.sin(2.0 * math.pi * lam))
+    out = Spectrum.of(stokes.sz).map(lambda lam: np.sin(2.0 * math.pi * lam))
     assert np.abs(out.matrix).max() <= 1e-10
 
 
@@ -105,7 +105,7 @@ def test_expectation_sx_on_coherent_state():
     # <Sx> on |alpha_H, 0_V> is |alpha|^2
     basis = MeterBasis(30)
     stokes = build_stokes(basis)
-    xi = coherent_state(math.sqrt(6.0), basis)
+    xi = prepare_meter_state(math.sqrt(6.0), None, basis)
     val = expectation(stokes.sx, xi) / (1.0 - xi.norm_deficit)
     assert abs(val.imag) <= 1e-12
     assert abs(val.real - 6.0) / 6.0 <= 1e-9
@@ -126,7 +126,7 @@ def test_expectation_dimension_mismatch():
 def test_hermitian_function_rejects_non_hermitian():
     bad = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NonHermitianError):
-        hermitian_function(bad, np.cos)
+        Spectrum.of(bad).map(np.cos)
 
 
 def test_hermitian_flag_verified_at_construction():

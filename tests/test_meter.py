@@ -5,15 +5,14 @@ import pytest
 
 from faraday_edr.errors import CutoffCeilingError, DimensionMismatchError, NormDeficitError
 from faraday_edr.faraday import build_workspace
-from faraday_edr.linalg import Operator, expectation
+from faraday_edr.linalg import Operator, Spectrum, expectation
 from faraday_edr.meter import (
     MeterBasis,
     SqueezeSpec,
     build_stokes,
     choose_cutoff,
-    coherent_state,
     predicted_moments,
-    squeezed_coherent_state,
+    prepare_meter_state,
     stokes_moments,
     sz_eigensystem,
 )
@@ -34,7 +33,7 @@ def ladder_h(basis):
     m = np.zeros((basis.size, basis.size), dtype=np.complex128)
     for i, (nh, nv) in enumerate(basis.states):
         if nh >= 1:
-            m[basis.index_of(nh - 1, nv), i] = np.sqrt(nh)
+            m[basis.states.index((nh - 1, nv)), i] = np.sqrt(nh)
     return Operator(m)
 
 
@@ -42,7 +41,7 @@ def ladder_v(basis):
     m = np.zeros((basis.size, basis.size), dtype=np.complex128)
     for i, (nh, nv) in enumerate(basis.states):
         if nv >= 1:
-            m[basis.index_of(nh, nv - 1), i] = np.sqrt(nv)
+            m[basis.states.index((nh, nv - 1)), i] = np.sqrt(nv)
     return Operator(m)
 
 
@@ -97,8 +96,8 @@ def test_naive_ladder_product_leaks_at_top_block():
 def test_sx_diagonal_number_difference():
     basis = MeterBasis(3)
     s = build_stokes(basis)
-    i10 = basis.index_of(1, 0)
-    i01 = basis.index_of(0, 1)
+    i10 = basis.states.index((1, 0))
+    i01 = basis.states.index((0, 1))
     assert s.sx.matrix[i10, i10] == 1.0
     assert s.sx.matrix[i01, i01] == -1.0
 
@@ -176,10 +175,35 @@ def test_choose_cutoff_validation_and_ceiling():
         choose_cutoff(6.0, 0.0, 1e-3)  # tail_tol must be <= 1e-6
     with pytest.raises(CutoffCeilingError):
         choose_cutoff(1e5, 0.0, 1e-12)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            choose_cutoff(bad)
+
+
+# cutoffs the earlier scan-and-confirm selection (padded preparation) chose
+# on the same inputs; None marks its CutoffCeilingError
+@pytest.mark.parametrize("alpha2, r, tail_tol, expected", [
+    (0.0, 0.0, 1e-12, 0),
+    (0.0, 1.2, 1e-12, 150),
+    (1.0, -1.2, 1e-12, 167),
+    (1.0, 1.2, 1e-12, 152),
+    (9.0, 0.3, 1e-12, 33),
+    (50.0, -0.6, 1e-12, 181),
+    (50.0, 1.2, 1e-9, 163),
+    (150.0, 0.2, 1e-6, 198),
+    (6.0, -1.2, 1e-12, None),
+    (50.0, 1.2, 1e-12, None),
+])
+def test_choose_cutoff_pinned(alpha2, r, tail_tol, expected):
+    if expected is None:
+        with pytest.raises(CutoffCeilingError):
+            choose_cutoff(alpha2, r, tail_tol)
+    else:
+        assert choose_cutoff(alpha2, r, tail_tol) == expected
 
 
 def test_stokes_moments_checks_dimension():
-    state = coherent_state(1.0, MeterBasis(20))
+    state = prepare_meter_state(1.0, None, MeterBasis(20))
     with pytest.raises(DimensionMismatchError):
         stokes_moments(state, build_stokes(MeterBasis(21)))
 
@@ -195,9 +219,9 @@ def test_build_workspace_refuses_cutoff_above_ceiling():
 
 def test_coherent_vacuum_is_exact():
     basis = MeterBasis(3)
-    ket = coherent_state(0.0, basis)
+    ket = prepare_meter_state(0.0, None, basis)
     expected = np.zeros(basis.size)
-    expected[basis.index_of(0, 0)] = 1.0
+    expected[basis.states.index((0, 0))] = 1.0
     assert np.array_equal(ket.amplitudes, expected)
     assert ket.norm_deficit == 0.0
 
@@ -205,7 +229,7 @@ def test_coherent_vacuum_is_exact():
 def test_coherent_transverse_means_vanish():
     basis = MeterBasis(30)
     s = build_stokes(basis)
-    xi = coherent_state(math.sqrt(6.0), basis)
+    xi = prepare_meter_state(math.sqrt(6.0), None, basis)
     assert expectation(s.sy, xi) == 0.0
     assert expectation(s.sz, xi) == 0.0
 
@@ -214,7 +238,7 @@ def test_coherent_sx_second_moment():
     # <Sx^2> = |alpha|^2 + |alpha|^4 -> 42 at |alpha|^2 = 6
     basis = MeterBasis(30)
     s = build_stokes(basis)
-    xi = coherent_state(math.sqrt(6.0), basis)
+    xi = prepare_meter_state(math.sqrt(6.0), None, basis)
     n2 = 1.0 - xi.norm_deficit
     val = expectation(s.sx @ s.sx, xi).real / n2
     assert abs(val - 42.0) / 42.0 <= 1e-9
@@ -223,7 +247,7 @@ def test_coherent_sx_second_moment():
 def test_coherent_poissonian_s0():
     basis = MeterBasis(30)
     s = build_stokes(basis)
-    mom = stokes_moments(coherent_state(math.sqrt(6.0), basis), s)
+    mom = stokes_moments(prepare_meter_state(math.sqrt(6.0), None, basis), s)
     assert abs(mom.mean_s0 - 6.0) / 6.0 <= 1e-9
     assert abs(mom.var_s0 - 6.0) / 6.0 <= 1e-9
     assert abs(mom.var_sy - 6.0) / 6.0 <= 1e-9
@@ -232,14 +256,69 @@ def test_coherent_poissonian_s0():
 
 def test_coherent_norm_deficit_raises():
     with pytest.raises(NormDeficitError):
-        coherent_state(math.sqrt(6.0), MeterBasis(4), tail_tol=1e-12)
+        prepare_meter_state(math.sqrt(6.0), None, MeterBasis(4), tail_tol=1e-12)
 
 
 def test_squeezed_r_zero_reduces_to_coherent():
     basis = MeterBasis(choose_cutoff(4.0))
-    direct = coherent_state(math.sqrt(4.0), basis)
-    via_squeeze = squeezed_coherent_state(math.sqrt(4.0), SqueezeSpec(0.0), basis)
+    direct = prepare_meter_state(math.sqrt(4.0), None, basis)
+    via_squeeze = prepare_meter_state(math.sqrt(4.0), SqueezeSpec(0.0), basis)
     assert np.abs(direct.amplitudes - via_squeeze.amplitudes).max() <= 1e-10
+
+
+def _expm_mode(alpha, z, dim):
+    """Oracle: exp of the single-mode squeeze and displacement generators
+    applied to |0> (scipy's expm_multiply) in a dim-level Fock space."""
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import expm_multiply
+
+    a = diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr", dtype=np.complex128)
+    ad = a.conj().T.tocsr()
+    psi = np.zeros(dim, dtype=np.complex128)
+    psi[0] = 1.0
+    psi = expm_multiply(0.5 * (np.conj(z) * (a @ a) - z * (ad @ ad)), psi)
+    return expm_multiply(alpha * ad - np.conj(alpha) * a, psi)
+
+
+@pytest.mark.parametrize("alpha2, r", [(0.0, 0.5), (1.0, 1.2), (1.0, -1.2), (9.0, 0.3),
+                                       (40.0, 1.0), (50.0, -0.6)])
+def test_preparation_matches_padded_expm_oracle(alpha2, r):
+    n_max = choose_cutoff(alpha2, r)
+    basis = MeterBasis(n_max)
+    alpha = math.sqrt(alpha2)
+    oracle = []
+    for dim in (2 * n_max + 40, 3 * n_max + 80):
+        h = _expm_mode(alpha, r, dim)[: n_max + 1]
+        v = _expm_mode(0.0, r, dim)[: n_max + 1]
+        oracle.append(np.array([h[nh] * v[nv] for nh, nv in basis.states]))
+    # the oracle has converged in its padding
+    assert np.abs(oracle[0] - oracle[1]).max() <= 1e-14
+    amps = prepare_meter_state(alpha, SqueezeSpec(r), basis).amplitudes
+    assert np.abs(amps - oracle[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.5, -0.6, 1.2])
+def test_squeezed_vacuum_closed_form(r):
+    # c_2k = (-t)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)), odd amplitudes zero
+    n_max = choose_cutoff(0.0, r)
+    basis = MeterBasis(n_max)
+    t = math.tanh(r)
+    c = np.zeros(n_max + 1)
+    for k in range(n_max // 2 + 1):
+        log_mag = 0.5 * math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
+        c[2 * k] = (-t) ** k * math.exp(log_mag) / math.sqrt(math.cosh(r))
+    expected = np.array([c[nh] * c[nv] for nh, nv in basis.states])
+    amps = prepare_meter_state(0.0, SqueezeSpec(r), basis).amplitudes
+    assert np.abs(amps - expected).max() <= 1e-13
+
+
+def test_subnormal_squeezing_gives_the_coherent_state():
+    basis = MeterBasis(choose_cutoff(4.0))
+    coherent = prepare_meter_state(2.0, None, basis).amplitudes
+    for r in (2.2e-313, -5e-324):
+        amps = prepare_meter_state(2.0, SqueezeSpec(r), basis).amplitudes
+        assert np.isfinite(amps).all()
+        assert np.abs(amps - coherent).max() <= 1e-300
 
 
 def test_squeezed_moments_against_predictions(ws_squeezed):
@@ -294,29 +373,27 @@ def test_squeezed_phase_convention():
     alpha = 2.0 * np.exp(1j * math.pi / 3)
     basis = MeterBasis(choose_cutoff(4.0, 0.25, 1e-12))
     # auto phase: theta = 2*arg(alpha)
-    ket = squeezed_coherent_state(alpha, SqueezeSpec(0.25), basis)
+    ket = prepare_meter_state(alpha, SqueezeSpec(0.25), basis)
     s = build_stokes(basis)
     mom = stokes_moments(ket, s)
     assert abs(mom.mean_sx - 4.0) / 4.0 <= 1e-8  # phase invariant
     n_v = (mom.mean_s0 - mom.mean_sx) / 2.0
     assert abs(n_v - math.sinh(0.25) ** 2) <= 1e-6
     # explicit matching theta accepted, mismatched refused
-    squeezed_coherent_state(alpha, SqueezeSpec(0.25, theta=2 * math.pi / 3), basis)
+    prepare_meter_state(alpha, SqueezeSpec(0.25, theta=2 * math.pi / 3), basis)
     with pytest.raises(ValueError):
-        squeezed_coherent_state(alpha, SqueezeSpec(0.25, theta=0.0), basis)
+        prepare_meter_state(alpha, SqueezeSpec(0.25, theta=0.0), basis)
 
 
 def test_cos_2g_sz_expectation_on_coherent_state():
     # <cos(2g Sz)> on |alpha_H, 0_V> is exp(-2 |alpha|^2 sin^2 g): the operator
     # function goes through the generic eigendecomposition of Sz
-    from faraday_edr.linalg import hermitian_function
-
     basis = MeterBasis(30)
     s = build_stokes(basis)
-    xi = coherent_state(math.sqrt(6.0), basis)
+    xi = prepare_meter_state(math.sqrt(6.0), None, basis)
     n2 = 1.0 - xi.norm_deficit
     for g in (0.3, 1.0, math.pi / 2):
-        cos_op = hermitian_function(s.sz, lambda lam: np.cos(2.0 * g * lam))
+        cos_op = Spectrum.of(s.sz).map(lambda lam: np.cos(2.0 * g * lam))
         val = expectation(cos_op, xi).real / n2
         expected = math.exp(-12.0 * math.sin(g) ** 2)
         assert val == pytest.approx(expected, rel=1e-9, abs=1e-12)
