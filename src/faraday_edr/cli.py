@@ -3,11 +3,12 @@
 Output is deterministic CSV (UTF-8, LF, comma-separated, 12 significant
 digits, '.' decimal separator); tradeoff runs additionally emit a plain
 Python plot script that reads only the CSV.  Exit codes: 0 success,
-1 usage error, 2 resource/cutoff error (including a --cutoff above the
-ceiling), 3 verification failure or a failed numerical check (a NaN or
-infinity bound for a CSV cell that is not flagged SINGULAR, a meter whose
-Sy leaves the banded form the sweep kernel stores, or a Gauss-Hermite
-quadrature that does not converge).
+1 usage error (including a meter with <Sx> ~ 0), 2 resource/cutoff error
+(including a --cutoff above the ceiling or a grid too large to allocate),
+3 verification failure or a failed numerical check (a NaN or infinity
+bound for a CSV cell that is not flagged SINGULAR, a Gauss-Hermite
+quadrature that does not converge, or, in verify only, a meter whose Sy
+leaves the band the vector oracle stores).
 
 Configuration precedence: command-line flags > key-value config file
 (flat ``key = value`` lines, '#' comments) > built-in defaults.  Every
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    BandStructureError,
     CutoffCeilingError,
     FaradayEdrError,
     NonFiniteValueError,
@@ -459,10 +459,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CutoffCeilingError, NormDeficitError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (CutoffCeilingError, NormDeficitError, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except (NonFiniteValueError, BandStructureError, QuadratureError) as exc:
+    except (NonFiniteValueError, QuadratureError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
     except FaradayEdrError as exc:

@@ -1,13 +1,15 @@
-"""Square error and square disturbance: matrix simulation and closed forms.
+"""Square error and square disturbance: sweep points, oracles, closed forms.
 
-The primary numeric path works in the Heisenberg picture, sandwiching the
-evolved operators with the initial product state.  It never materializes a
-joint matrix: states are kept as 2 x m arrays (spin row, meter column) in
-the Sz eigenbasis, where the evolution is a diagonal phase and the
-transformed Sy is tridiagonal, applied from its stored band in O(m).  The
-dense operators of the full-matrix route are the oracle.  A Schroedinger-picture
-recomputation (evolving the state instead) is retained as a secondary
-oracle; the two routes must agree to 1e-10.
+Sweep points evolve nothing.  Total-photon-number truncation keeps
+U^dag (I (x) Sy) U = (I (x) Sy) cos 2g + (sigma_z (x) Sx) sin 2g and
+D^2 = I (x) 4 sin^2(g Sz) exact, so with c = cos 2g and t = sin 2g the
+sigma_y eigenstate has eps2 = (c^2 <Sy^2> + t^2 var Sx) / (<Sx> t)^2 and
+eta2 = 4 sum_lambda w(lambda) sin^2(g lambda), w the meter's Sz weights;
+``edr_point_at`` reads these g-independent numbers from the workspace.
+The oracles evolve: a banded vector route in the Heisenberg picture (2 x m
+arrays in the Sz eigenbasis, where U is a diagonal phase and Sy one band),
+a Schroedinger-picture recomputation that must agree with it to 1e-10, and
+the dense operators of the full-matrix route.
 
 Closed forms for the coherent meter:
 
@@ -39,7 +41,7 @@ from .faraday import (
     calibrated_meter,
     lift_spin,
 )
-from .linalg import Ket, Operator, sigma_x, sigma_y, sigma_z, spin_state, SPIN_STATE_LABELS
+from .linalg import Ket, Operator, sigma_x, sigma_y, sigma_z, spin_state
 from .meter import apply_band
 from .tolerances import TOL
 
@@ -63,7 +65,7 @@ def disturbance_operator(ctx: JointContext) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# fast vector route
+# banded vector route (oracle)
 
 
 def _joint_tilde(ctx: JointContext, psi: Ket, xi: Ket | None) -> np.ndarray:
@@ -211,8 +213,8 @@ def disturbance_bias_coefficient(g: float, alpha2: float) -> float:
 class EDRPoint:
     """One sweep sample.
 
-    eps2/eta2 are the matrix-simulation values, the _analytic fields the
-    closed forms (squeezed generalization when r != 0).  bias_noise and
+    eps2/eta2 are the exact-meter values, the _analytic fields the closed
+    forms (squeezed generalization when r != 0).  bias_noise and
     bias_disturbance are max |<N>| and max |<D>| over the six Pauli
     eigenstates.  sigma_a, sigma_b, c_ab are the standard deviations of
     sigma_z, sigma_x and half the commutator mean on the sweep spin state
@@ -240,8 +242,11 @@ class EDRPoint:
         return "SINGULAR" in self.flags
 
 
-def _spin_sigmas(psi: Ket) -> tuple[float, float, float]:
-    amps = psi.amplitudes
+@cache
+def _sweep_spin_sigmas() -> tuple[float, float, float]:
+    """(sigma_A, sigma_B, C) of the sweep spin state: the same for every
+    point, so computed once, on first use."""
+    amps = spin_state(SWEEP_SPIN_STATE).amplitudes
 
     def _std(op: Operator) -> float:
         w = op.matrix @ amps
@@ -252,53 +257,32 @@ def _spin_sigmas(psi: Ket) -> tuple[float, float, float]:
     return _std(sigma_z()), _std(sigma_x()), c_ab
 
 
-@cache
-def _sweep_spin_constants() -> tuple[Ket, tuple[float, float, float], tuple[Ket, ...]]:
-    """The sweep spin state, its (sigma_A, sigma_B, C) and the six Pauli
-    eigenstates: the same for every point, so built once, on first use."""
-    psi = spin_state(SWEEP_SPIN_STATE)
-    return psi, _spin_sigmas(psi), tuple(map(spin_state, SPIN_STATE_LABELS))
-
-
-def _pauli_bias(ctx: JointContext, paulis: tuple[Ket, ...], apply) -> float:
-    """max |<X>| over the six Pauli eigenstates (x) the meter state.
-
-    X is a joint operator given by its action ``apply`` on (2, m) tilde
-    arrays.  <X> is linear in the spin density matrix, so the 2 x 2 reduced
-    matrix <i, xi|X|j, xi> / <xi|xi>, from two applications of X, gives the
-    mean for every spin state.
-    """
-    xt = ctx.workspace.state_tilde
-    zero = np.zeros_like(xt)
-    cols = (apply(np.array([xt, zero])), apply(np.array([zero, xt])))
-    reduced = np.array([[np.vdot(xt, col[i]) for col in cols] for i in range(2)])
-    reduced /= float(np.vdot(xt, xt).real)
-    return max(abs(np.vdot(psi.amplitudes, reduced @ psi.amplitudes))
-               for psi in paulis)
-
-
 def edr_point_at(workspace: MeterWorkspace, g: float, alpha2: float, r: float) -> EDRPoint:
-    """Assemble the full per-sample record at interaction strength g."""
-    ctx = context_at(workspace, g)
-    psi, (sigma_a, sigma_b, c_ab), paulis = _sweep_spin_constants()
+    """Assemble the full per-sample record at interaction strength g from
+    the workspace's g-independent ``sweep_moments``; nothing is evolved."""
+    mean_sy, sy2, var_sx, weights = workspace.sweep_moments
+    sigma_a, sigma_b, c_ab = _sweep_spin_sigmas()
     deficit = workspace.meter_state.norm_deficit
 
-    eta2 = square_disturbance_numeric(ctx, psi)
+    g_lam = g * workspace.eig.values
+    eta2 = 4.0 * float(np.dot(weights, np.sin(g_lam) ** 2))
     if r == 0.0:
         eta2_analytic = square_disturbance_analytic(g, alpha2)
     else:
         eta2_analytic = square_disturbance_analytic_squeezed(g, alpha2, r)
-    bias_d = _pauli_bias(ctx, paulis, lambda p: _apply_disturbance(ctx, p))
+    # max |<D>| over the Pauli states: eta2/2 on x+-, |sum w sin 2g lambda| on y+-
+    bias_d = max(eta2 / 2.0, abs(float(np.dot(weights, np.sin(2.0 * g_lam)))))
 
     flags: tuple[str, ...] = ()
     try:
-        eps2 = square_error_numeric(ctx, psi)
+        scale = calibration_scale(context_at(workspace, g))
+        c, t = math.cos(2.0 * g), math.sin(2.0 * g)
+        eps2 = (c * c * sy2 + t * t * var_sx) / (scale * scale)
         if r == 0.0:
             eps2_analytic = square_error_analytic(g, alpha2)
         else:
             eps2_analytic = square_error_analytic_squeezed(g, alpha2, r)
-        scale = calibration_scale(ctx)
-        bias_n = _pauli_bias(ctx, paulis, lambda p: _apply_noise(ctx, p, scale))
+        bias_n = abs(c * mean_sy / scale)  # <N> is the same for every spin state
     except CalibrationSingular:
         eps2 = eps2_analytic = bias_n = math.nan
         flags = ("SINGULAR",)

@@ -26,7 +26,7 @@ class NonUnitaryError(FaradayEdrError):
 
 class BandStructureError(FaradayEdrError):
     """Sy in the Sz eigenbasis of a photon-number sector is not tridiagonal
-    within tolerance, so the banded sweep kernel would drop real weight."""
+    within tolerance, so the banded vector oracle would drop real weight."""
 
 
 class CutoffCeilingError(FaradayEdrError):

@@ -1,13 +1,13 @@
 """Faraday interaction U = exp(-i g sigma_z (x) Sz) and Heisenberg evolution.
 
 Sz conserves the total photon number, so it diagonalizes block by block.
-Sweeps never build the joint unitary: ``MeterWorkspace`` keeps the meter
-state and Sy in the Sz eigenbasis (Sy as one band), where U is a diagonal
-phase, for the vector evaluators in edr.  The joint-matrix routes below
-are oracles on the dense views.  The structured one assembles the joint
-unitary from per-spin-sign phase factors; the generic one eigendecomposes
-the full joint generator.  Both must agree with each other and with the
-closed-form rotated operators
+Sweeps evolve nothing: they read ``MeterWorkspace.sweep_moments``.  The
+banded vector oracle in edr reads the meter state and Sy in the Sz
+eigenbasis (Sy as one band), where U is a diagonal phase.  The
+joint-matrix routes below are oracles on the dense views.  The structured
+one assembles the joint unitary from per-spin-sign phase factors; the
+generic one eigendecomposes the full joint generator.  Both must agree
+with each other and with the closed-form rotated operators
 
     U^dag (I (x) Sy) U = (I (x) Sy) cos 2g + (sigma_z (x) Sx) sin 2g
     U^dag (sigma_x (x) I) U = sigma_x (x) cos(2g Sz) - sigma_y (x) sin(2g Sz)
@@ -36,6 +36,7 @@ from .meter import (
     SqueezeSpec,
     StokesSet,
     SzEigensystem,
+    apply_band,
     build_stokes,
     choose_cutoff,
     prepare_meter_state,
@@ -48,10 +49,10 @@ from .tolerances import TOL
 class MeterWorkspace:
     """The g-independent part of a measurement: basis, operators, meter state.
 
-    Shared read-only between all interaction strengths of a sweep.  The
-    tilde attributes are the Sz eigenbasis representations used by the fast
-    vector evaluators in edr; they are built sector by sector and hold no
-    m x m array.  The dense spectra are the oracles' own eigendecompositions,
+    Shared read-only between all interaction strengths of a sweep, which
+    read only ``sweep_moments``.  The tilde attributes are the Sz eigenbasis
+    representations the banded vector oracle in edr uses, built sector by
+    sector.  The dense spectra are the oracles' own eigendecompositions,
     built on first use and independent of the per-sector ``eig``.
     """
 
@@ -65,6 +66,22 @@ class MeterWorkspace:
         amps = self.meter_state.amplitudes
         n2 = float(np.vdot(amps, amps).real)
         return float(np.vdot(amps, self.stokes.sx_diag * amps).real) / n2
+
+    @cached_property
+    def sweep_moments(self) -> tuple[float, float, float, np.ndarray]:
+        """(<Sy>, <Sy^2>, var Sx, w), with w the weights |<lambda|xi>|^2 / <xi|xi>
+        over ``eig.values``: the g-independent numbers every sweep point is a
+        function of, built on first use.  The second moments are taken as
+        ||Sy xi||^2 and ||(Sx - <Sx>) xi||^2 over <xi|xi>, so nothing cancels."""
+        amps = self.meter_state.amplitudes
+        n2 = float(np.vdot(amps, amps).real)
+        sy = apply_band(self.stokes.hop, amps)
+        dsx = (self.stokes.sx_diag - self.mean_sx) * amps
+        weights = np.abs(self.state_tilde) ** 2
+        weights /= float(np.vdot(self.state_tilde, self.state_tilde).real)
+        weights.flags.writeable = False
+        return (float(np.vdot(amps, sy).real) / n2, float(np.vdot(sy, sy).real) / n2,
+                float(np.vdot(dsx, dsx).real) / n2, weights)
 
     @cached_property
     def state_tilde(self) -> np.ndarray:

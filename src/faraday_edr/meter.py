@@ -193,14 +193,10 @@ class SzEigensystem:
 def sz_eigensystem(basis: MeterBasis) -> SzEigensystem:
     values = np.zeros(basis.size)
     blocks = []
+    hop = build_stokes(basis).hop
     for n in range(basis.n_max + 1):
-        d = n + 1
-        blk = np.zeros((d, d), dtype=np.complex128)
-        for k in range(n):  # couples (k, n-k) <-> (k+1, n-k-1)
-            amp = np.sqrt((k + 1) * (n - k))
-            blk[k + 1, k] = -1j * amp
-            blk[k, k + 1] = 1j * amp
-        w, v = np.linalg.eigh(blk)
+        h = hop[basis.block_slice(n)][:n]  # Sz = i hop above, -i hop below
+        w, v = np.linalg.eigh(np.diag(1j * h, 1) + np.diag(-1j * h, -1))
         values[basis.block_slice(n)] = w
         v.flags.writeable = False
         blocks.append(v)

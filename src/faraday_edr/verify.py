@@ -19,7 +19,7 @@ from .edr import (
     square_error_numeric,
     square_error_schrodinger,
 )
-from .errors import FaradayEdrError
+from .errors import FaradayEdrError, ZeroMeanSx
 from .faraday import (
     build_workspace,
     context_at,
@@ -76,6 +76,8 @@ def suite_edr_agreement(alpha2_values=(2.0, 6.0, 12.0), cutoff: int | None = Non
                 worst = max(worst,
                             abs(eps2 - square_error_schrodinger(ctx, psi)),
                             abs(eta2 - square_disturbance_schrodinger(ctx, psi)))
+    except ZeroMeanSx:
+        raise  # no meter to calibrate: the request is unusable, not a failed check
     except FaradayEdrError as exc:
         return SuiteResult("edr-agreement", False, math.inf, tol,
                            f"{type(exc).__name__}: {exc}")

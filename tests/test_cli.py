@@ -246,6 +246,8 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["verify", "--alpha2", "-1"]) == 1
     assert main(["verify", "--alpha2", "nan"]) == 1
     assert main(["verify", "--alpha2", "inf"]) == 1
+    # no meter to calibrate against: a usage error, as for sweep-g, not a failed suite
+    assert main(["verify", "--alpha2", "0"]) == 1
     # sweep-chi prepares no meter state, so it has no truncation flags
     assert main(["sweep-chi", "--cutoff", "5", "-o", out]) == 1
     assert main(["sweep-chi", "--tail-tol", "1", "-o", out]) == 1
@@ -262,6 +264,23 @@ def test_exit_code_explicit_cutoff_above_ceiling(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep-g", "--cutoff", "201", "--steps", "2", "-o", str(out)]) == 2
     assert "ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (10000000000,)",
+     "Unable to allocate 74.5 GiB"),
+    ("", "out of memory"),
+])
+def test_exit_code_grid_too_large(tmp_path, monkeypatch, capsys, message, shown):
+    # stands in for a --steps that cannot be allocated; the real value is never run
+    def no_memory(**request):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "tradeoff_curve", no_memory)
+    out = tmp_path / "x.csv"
+    assert main(["sweep-g", "--steps", "10000000000", "-o", str(out)]) == 2
+    assert f"resource error: {shown}" in capsys.readouterr().err
     assert not out.exists()
 
 

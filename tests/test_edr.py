@@ -21,8 +21,9 @@ from faraday_edr.edr import (
     square_error_schrodinger,
 )
 from faraday_edr.errors import CalibrationSingular, DimensionMismatchError
-from faraday_edr.faraday import build_workspace, context_at
+from faraday_edr.faraday import JointContext, MeterWorkspace, build_workspace, context_at
 from faraday_edr.linalg import SPIN_STATE_LABELS, Ket, expectation, spin_state, tensor
+from faraday_edr.meter import SqueezeSpec
 
 from conftest import acceptance_g_grid
 
@@ -174,6 +175,9 @@ def test_disturbance_closed_form_accurate_at_small_g(request, alpha2):
         eta2 = square_disturbance_numeric(context_at(ws, float(g)), Y_PLUS)
         analytic = square_disturbance_analytic(float(g), alpha2)
         assert eta2 == pytest.approx(analytic, rel=1e-10, abs=0.0)
+        # the sweep's 4 sum w sin^2(g lambda) keeps the same digits
+        sweep = edr_point_at(ws, float(g), alpha2, 0.0).eta2
+        assert sweep == pytest.approx(analytic, rel=1e-10, abs=0.0)
 
 
 def test_vector_route_checks_dimensions(ws2):
@@ -254,7 +258,7 @@ def test_edr_point_squeezed(ws_squeezed):
 
 
 def test_edr_point_builds_no_spin_constants(ws6, monkeypatch):
-    # the sweep spin state, its sigmas and the six Pauli states are built once
+    # the sweep spin state and its sigmas are built once per process
     edr_point_at(ws6, 0.2, 6.0, 0.0)
 
     def refuse(*args):
@@ -265,3 +269,21 @@ def test_edr_point_builds_no_spin_constants(ws6, monkeypatch):
     pt = edr_point_at(ws6, 0.3, 6.0, 0.0)
     assert (pt.sigma_a, pt.sigma_b, pt.c_ab) == pytest.approx((1.0, 1.0, 1.0), abs=1e-15)
     assert pt.bias_noise <= 1e-10
+
+
+def test_edr_point_evolves_nothing(ws_squeezed, monkeypatch):
+    # every number of a sweep point comes from g-independent meter moments
+    grid = (0.3, math.pi / 2, 2.9)
+    expected = [edr_point_at(ws_squeezed, g, 9.0, 0.3) for g in grid]
+    fresh = build_workspace(3.0, SqueezeSpec(0.3))
+    fresh.state_tilde
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep point evolved a state")
+
+    monkeypatch.setattr(edr, "_evolve", refuse)
+    monkeypatch.setattr(MeterWorkspace, "sy_tilde", property(refuse))
+    monkeypatch.setattr(JointContext, "phases", property(refuse))
+    got = [edr_point_at(fresh, g, 9.0, 0.3) for g in grid]
+    assert got[1].singular
+    assert list(map(repr, got)) == list(map(repr, expected))

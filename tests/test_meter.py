@@ -143,6 +143,15 @@ def test_sz_eigensystem_reconstructs_sz():
     eig = sz_eigensystem(basis)
     rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
     assert np.abs(rebuilt - s.sz.matrix).max() <= 1e-12
+    # each block is the eigh of its sector written out entry by entry, exactly
+    for n, v in enumerate(eig.blocks):
+        blk = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        for k in range(n):  # couples (k, n-k) <-> (k+1, n-k-1)
+            blk[k, k + 1] = 1j * np.sqrt((k + 1) * (n - k))
+            blk[k + 1, k] = -1j * np.sqrt((k + 1) * (n - k))
+        w, vectors = np.linalg.eigh(blk)
+        assert np.array_equal(eig.values[basis.block_slice(n)], w)
+        assert np.array_equal(v, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The photon-number-sector kernel against the dense oracle routes.
 
-The sweep path keeps the Stokes operators, the Sz eigenvectors and the
-transformed Sy as per-sector data and bands; the dense matrices are only
-assembled for the oracle routes.  These tests hold the two together at
-cutoffs small enough for the dense joint operators.
+The workspace keeps the Stokes operators, the Sz eigenvectors and the
+transformed Sy as per-sector data and bands, and sweeps read only meter
+moments; the dense matrices are only assembled for the oracle routes.
+These tests hold them together at cutoffs small enough for the dense
+joint operators.
 """
 
 import math
@@ -58,6 +59,12 @@ def test_sector_kernel_matches_dense_oracle(alpha2, r, g):
         expectation(n_op @ n_op, state).real / n2, rel=1e-10, abs=1e-10)
     assert square_disturbance_numeric(ctx, psi) == pytest.approx(
         expectation(d_op @ d_op, state).real / n2, rel=1e-10, abs=1e-10)
+    # and the sweep's moment route against the same dense values
+    pt = edr_point_at(ws, g, alpha2, r)
+    assert pt.eps2 == pytest.approx(
+        expectation(n_op @ n_op, state).real / n2, rel=1e-10, abs=1e-10)
+    assert pt.eta2 == pytest.approx(
+        expectation(d_op @ d_op, state).real / n2, rel=1e-10, abs=1e-10)
 
     # sector moments against the dense matrices
     mom = stokes_moments(ws.meter_state, ws.stokes)
@@ -93,9 +100,9 @@ def test_sweep_path_assembles_no_dense_matrix():
 
 
 @pytest.mark.parametrize("alpha2, r", [(6.0, 0.0), (9.0, 0.3)])
-def test_reduced_matrix_biases_equal_direct_evaluations(alpha2, r):
+def test_moment_biases_match_six_state_vector_route(alpha2, r):
     ws = build_workspace(math.sqrt(alpha2), SqueezeSpec(r) if r else None)
-    for g in (0.2, 0.77, math.pi / 4, 2.0, 2.9):
+    for g in (1e-4, 0.2, 0.77, math.pi / 4, 2.0, 2.9):
         pt = edr_point_at(ws, g, alpha2, r)
         ctx = context_at(ws, g)
         states = [spin_state(label) for label in SPIN_STATE_LABELS]
